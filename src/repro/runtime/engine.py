@@ -258,6 +258,12 @@ class Engine:
 
         results: list[EngineResult | None] = [None] * len(xs)
         for (seq_len, mask_shape), members in groups.items():
+            if seq_len == 1:
+                # A one-row product goes to BLAS gemv; stacked, the same
+                # rows would go to gemm, which rounds differently.
+                for i in members:
+                    results[i] = self._run_prepared(xs[i], masks[i])
+                continue
             plan = get_plan(self, seq_len, mask_shape)
             xb = np.stack([xs[i] for i in members])
             mask_b = None

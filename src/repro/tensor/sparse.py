@@ -19,7 +19,7 @@ that consume them live in :mod:`repro.ops.sparse_gemm`.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,13 +162,29 @@ class TileBCSR:
     tiles: np.ndarray  # (num_tiles, r, c)
     dtype: np.dtype = field(default=np.dtype(np.float32))
 
-    #: Cap on gather-buffer elements per matmul chunk — bounds scratch memory
-    #: to a few MB however many tiles survive pruning.
-    _CHUNK_ELEMS = 1 << 18
+    #: Longest reduction (input columns) one slab GEMM runs over: 16 tiles
+    #: at c = 16. Up to K = 256 OpenBLAS's Haswell dgemm gives each output
+    #: row the same bits whatever the row count; from K = 448 it does not.
+    _SLAB_K = 256
+    #: Most multiply-adds per GEMM call: OpenBLAS runs a GEMM of up to 2^18
+    #: of them on one thread, and hands larger ones to its thread pool,
+    #: whose start-up costs more than these small products save.
+    _GEMM_MACS = 1 << 18
 
     def __post_init__(self) -> None:
-        self._scratch = threading.local()
-        self._row_of: np.ndarray | None = None
+        r, c = self.tile
+        per = max(1, self._SLAB_K // c)
+        tiles_t = self.tiles.transpose(0, 2, 1)  # (num_tiles, c, r)
+        lane = np.arange(c)
+        self._slabs: list[tuple[int, bool, np.ndarray, np.ndarray, int]] = []
+        for i in range(self.bitmap.shape[0]):
+            lo, hi = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
+            for k0 in range(lo, hi, per):
+                k1 = min(k0 + per, hi)
+                cols = (self.col_idx[k0:k1, None] * c + lane).ravel()
+                rows = max(2, self._GEMM_MACS // (cols.size * r))
+                self._slabs.append((i, k0 > lo, cols,
+                                    tiles_t[k0:k1].reshape(-1, r), rows))
 
     @classmethod
     def from_dense(
@@ -182,8 +198,7 @@ class TileBCSR:
         occupied = (tv != 0).any(axis=(2, 3))
         row_ptr = np.zeros(p + 1, dtype=np.intp)
         np.cumsum(occupied.sum(axis=1), out=row_ptr[1:])
-        col_idx = np.concatenate([np.flatnonzero(occupied[i]) for i in range(p)]) \
-            if occupied.any() else np.empty(0, dtype=np.intp)
+        col_idx = np.nonzero(occupied)[1]  # row-major order is CSR order
         kept = tv[occupied]  # (num_tiles, r, c) — copies only survivors
         return cls(
             shape=tuple(w.shape),
@@ -218,79 +233,53 @@ class TileBCSR:
         p, q = self.bitmap.shape
         r, c = self.tile
         tv = np.zeros((p, q, r, c), dtype=self.dtype)
-        k = 0
-        for i in range(p):
-            for j in self.col_idx[self.row_ptr[i] : self.row_ptr[i + 1]]:
-                tv[i, j] = self.tiles[k]
-                k += 1
+        tv[self.bitmap] = self.tiles
         return untile_view(tv)
 
     def matmul(self, x: np.ndarray) -> np.ndarray:
-        """``x @ Wᵀ`` computed tile-by-tile (W is (out, in) = (p·r, q·c)).
+        """``x @ Wᵀ`` with one GEMM per slab (W is (out, in) = (p·r, q·c)).
 
-        Output tile-column block ``i`` accumulates ``x_block(j) @ W_tile(i,j)ᵀ``
-        over the occupied tiles of tile-row ``i``. Semantics match the dense
-        masked product exactly.
+        A slab is a run of up to ``_SLAB_K // c`` consecutive stored tiles
+        of one tile-row ``i``; its weight is those tiles stacked into one
+        ``(k·c, r)`` matrix and its input is the matching ``k·c`` columns
+        of ``x``. The first slab of tile-row ``i`` writes output columns
+        ``i·r:(i+1)·r``; later slabs add into them in CSR order. Absent
+        tiles contribute nothing, so the result equals the dense masked
+        product up to rounding.
 
-        The per-tile products run as batched GEMMs over chunks of the stored
-        tiles (one input-block gather plus one ``(k, n, c) @ (k, c, r)``
-        matmul per chunk, into per-thread reused scratch buffers);
-        accumulation then walks the tiles in CSR order, so each output block
-        sums its contributions in exactly the per-tile loop's order and the
-        result is bitwise identical to it. Each tile's product is an
-        independent GEMM whose rows also reduce independently, which makes
-        the result independent of both the chunking and of how many leading
-        rows are batched together — the packed execution path's equivalence
-        tests pin these properties down.
+        ``x`` is transposed once to ``(in, n)``, so a slab's gather copies
+        contiguous rows and ``n`` is BLAS's column-major N dimension. Rows
+        run in blocks sized per slab to keep every call within
+        ``_GEMM_MACS``; no block has a single row, since numpy sends
+        one-row products to gemv instead of gemm. With the slab cap this
+        makes each output row independent of how many rows are batched
+        together, which the packed path's bitwise equivalence relies on.
         """
         r, c = self.tile
         p, q = self.bitmap.shape
         lead = x.shape[:-1]
-        out = np.zeros((*lead, p * r), dtype=np.result_type(x, self.tiles))
-        kk = self.num_tiles
-        if kk == 0:
-            return out
-        n = int(np.prod(lead)) if lead else 1
-        x3 = x.reshape(n, q, c)
-        out2 = out.reshape(n, p, r)
-        row_of = self._row_of
-        if row_of is None:
-            row_of = self._row_of = np.repeat(
-                np.arange(p), np.diff(self.row_ptr))
-        chunk = min(kk, max(1, self._CHUNK_ELEMS // (n * c)))
-        xg_full, prod_full = self._buffers(n, chunk, x3.dtype, out.dtype)
-        tiles_t = self.tiles.transpose(0, 2, 1)
-        for k0 in range(0, kk, chunk):
-            kc = min(chunk, kk - k0)
-            xg = xg_full[:, :kc, :]
-            prod = prod_full[:kc]
-            np.take(x3, self.col_idx[k0:k0 + kc], axis=1, out=xg)
-            np.matmul(xg.transpose(1, 0, 2), tiles_t[k0:k0 + kc], out=prod)
-            for k in range(kc):
-                out2[:, row_of[k0 + k], :] += prod[k]
-        return out
+        n = int(np.prod(lead))
+        out = np.zeros((n, p * r), dtype=np.result_type(x, self.tiles))
+        xt = np.ascontiguousarray(x.reshape(n, q * c).T)
+        for i, accumulate, cols, w, rows in self._slabs:
+            xg = xt[cols]
+            for r0, r1 in _row_blocks(n, rows):
+                dst = out[r0:r1, i * r:(i + 1) * r]
+                if accumulate:
+                    dst += np.matmul(xg[:, r0:r1].T, w)
+                else:
+                    np.matmul(xg[:, r0:r1].T, w, out=dst)
+        return out.reshape(*lead, p * r)
 
-    def _buffers(self, n: int, chunk: int, x_dtype: np.dtype,
-                 out_dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Per-thread gather/product scratch for :meth:`matmul`.
 
-        Keyed by the shapes and dtypes in play; ``threading.local`` keeps
-        concurrent engines (one per :class:`AsyncServer` worker thread) from
-        sharing buffers. Only scratch lives here — the returned output array
-        is freshly allocated on every call.
-        """
-        r, c = self.tile
-        cache = getattr(self._scratch, "bufs", None)
-        if cache is None:
-            cache = self._scratch.bufs = {}
-        key = (n, chunk, x_dtype, out_dtype)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = (
-                np.empty((n, chunk, c), dtype=x_dtype),
-                np.empty((chunk, n, r), dtype=out_dtype),
-            )
-        return got
+@functools.lru_cache(maxsize=256)
+def _row_blocks(n: int, rows: int) -> tuple[tuple[int, int], ...]:
+    """``[r0, r1)`` blocks of at most ``rows`` covering ``n`` rows, none of
+    them a single row unless ``n`` is 1."""
+    bounds = list(range(0, n, rows)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def dense_from_mask(w: np.ndarray, mask: np.ndarray) -> np.ndarray:

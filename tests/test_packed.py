@@ -11,7 +11,7 @@ cost model or the math observes.
 import numpy as np
 import pytest
 
-from repro.config import small_config
+from repro.config import BERT_BASE, small_config
 from repro.ops.softmax import causal_mask
 from repro.pruning import PruneMethod
 from repro.runtime import (
@@ -103,6 +103,11 @@ class TestBitwiseEquivalence:
         rng = np.random.default_rng(5)
         assert_identical(engine, *_batch(rng, [40]))
 
+    def test_seq_len_one(self, engine):
+        # a one-row product goes to gemv serially but to gemm once stacked
+        rng = np.random.default_rng(9)
+        assert_identical(engine, *_batch(rng, [1, 1, 1]))
+
     def test_matches_single_request_run(self, engine):
         """run_packed vs the plain per-request run() API, not just serial
         run_batch — the strongest form of the contract."""
@@ -115,6 +120,24 @@ class TestBitwiseEquivalence:
             assert rs.latency_us == rp.latency_us
             assert rs.timeline.time_by_region() == \
                 rp.timeline.time_by_region()
+
+
+class TestPaperShape:
+    """One BERT_BASE layer at 80% pruning: the tile GEMMs' tile-rows span
+    several slabs (fc2 holds ~38 tiles a row), which the d_model-64 engines
+    above never reach."""
+
+    @pytest.fixture(scope="class")
+    def bert_engine(self):
+        w = EncoderWeights.random(BERT_BASE, np.random.default_rng(0), 1)
+        w.prune(PruneMethod.ATTENTION_AWARE, 0.8, tile=(16, 16))
+        return ETEngine(w)
+
+    @pytest.mark.parametrize("lens", [[128, 128], [32, 320, 32]])
+    def test_packed_equals_serial(self, bert_engine, lens):
+        rng = np.random.default_rng(sum(lens))
+        xs = [rng.standard_normal((s, BERT_BASE.d_model)) for s in lens]
+        assert_identical(bert_engine, xs, [None] * len(lens))
 
 
 class TestDispatch:

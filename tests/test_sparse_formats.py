@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import BERT_BASE
 from repro.pruning.masks import col_mask, irregular_mask, row_mask, tile_mask
 from repro.tensor.sparse import (
     CondensedColPruned,
@@ -15,6 +16,18 @@ from repro.tensor.sparse import (
 @pytest.fixture
 def w(rng):
     return rng.standard_normal((64, 48))
+
+
+def per_tile_matmul(fmt: TileBCSR, x: np.ndarray) -> np.ndarray:
+    """Reference kernel: one GEMM per stored tile, accumulated in CSR order."""
+    r, c = fmt.tile
+    p, q = fmt.bitmap.shape
+    xb = x.reshape(-1, q, c)
+    out = np.zeros((xb.shape[0], p, r))
+    for i in range(p):
+        for k in range(fmt.row_ptr[i], fmt.row_ptr[i + 1]):
+            out[:, i] += xb[:, fmt.col_idx[k]] @ fmt.tiles[k].T
+    return out.reshape(*x.shape[:-1], p * r)
 
 
 class TestRowPruned:
@@ -120,6 +133,46 @@ class TestTileBCSR:
         fmt = TileBCSR.from_dense(w * tile_mask(w, 0.3, (16, 16)))
         assert (np.diff(fmt.row_ptr) >= 0).all()
         assert fmt.row_ptr[-1] == fmt.num_tiles
+
+
+class TestTileBCSRPaperShape:
+    """BERT_BASE fc2 (768×3072) at 80% tile pruning: tile-rows hold ~38
+    tiles, so each spans several slabs and takes the accumulate branch."""
+
+    #: Four 64-row blocks of a full slab plus one row: the whole-batch
+    #: call must not leave that row to gemv.
+    N = 257
+
+    @pytest.fixture(scope="class")
+    def fc2(self):
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((BERT_BASE.d_model, BERT_BASE.d_ff))
+        return TileBCSR.from_dense(w * tile_mask(w, 0.8, (16, 16)))
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return np.random.default_rng(8).standard_normal((self.N, BERT_BASE.d_ff))
+
+    def test_tile_rows_span_several_slabs(self, fc2):
+        per_row = np.diff(fc2.row_ptr)
+        assert per_row.max() > 2 * 16  # more than two 16-tile slabs
+
+    def test_matches_per_tile_reference(self, fc2, x):
+        # The slabs sum in another order than the per-tile loop, so each
+        # entry may differ by a few roundings of its terms' magnitude
+        # Σ|x·w|; the bound, 64 float64 epsilons of it, was fixed before
+        # the kernel was measured.
+        scale = np.abs(x) @ np.abs(fc2.to_dense()).T
+        err = np.abs(fc2.matmul(x) - per_tile_matmul(fc2, x))
+        assert (err <= 64 * np.finfo(np.float64).eps * scale).all()
+
+    @pytest.mark.parametrize("rows", [2, 3, 17, 32, 128])
+    def test_row_splits_concatenate_bitwise(self, fc2, x, rows):
+        cuts = list(range(0, self.N, rows)) + [self.N]
+        if cuts[-1] - cuts[-2] == 1:
+            del cuts[-2]  # a one-row split is gemv's case, not gemm's
+        parts = [fc2.matmul(x[a:b]) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), fc2.matmul(x))
 
 
 class TestDenseFromMask:
