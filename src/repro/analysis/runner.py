@@ -38,6 +38,7 @@ from repro.analysis.resolve import ConstEnv, device_specs, module_constants
 
 if TYPE_CHECKING:
     from repro.analysis.cache import FindingsCache
+    from repro.analysis.thread_safety import ClassIndex
 
 _DISABLE_RE = re.compile(r"#\s*etlint:\s*disable=([A-Za-z0-9_,]+)")
 
@@ -68,7 +69,7 @@ class AnalysisContext:
     files: list[SourceFile]
     modules: dict[str, ast.Module]
     devices: dict[str, int]
-    lockless_classes: set[str]
+    classes: ClassIndex
     symbols: SymbolTable
     callgraph: CallGraph
     summaries: SummaryTable
@@ -164,7 +165,7 @@ def project_digest(files: list[SourceFile]) -> str:
 
 def build_context(files: list[SourceFile]) -> AnalysisContext:
     """Assemble the shared static context from the parsed files."""
-    from repro.analysis.thread_safety import lockless_class_names
+    from repro.analysis.thread_safety import index_classes
 
     modules = {sf.module: sf.tree for sf in files}
     for sf in files:
@@ -174,7 +175,7 @@ def build_context(files: list[SourceFile]) -> AnalysisContext:
         files=files,
         modules=modules,
         devices=device_specs(modules),
-        lockless_classes=lockless_class_names([sf.tree for sf in files]),
+        classes=index_classes([sf.tree for sf in files]),
         symbols=symbols,
         callgraph=build_callgraph(symbols),
         summaries=SummaryTable(symbols, {sf.module: sf.env for sf in files}),

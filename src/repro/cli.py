@@ -394,8 +394,8 @@ def cmd_loadgen(args) -> str:
 
 def _loadgen_pool(args) -> str:
     """``loadgen --workers N``: the seeded mix on the replica pool."""
-    from repro.serving.loadgen import LoadgenResult, _render_report
-    from repro.serving.pool import build_pool_server, drive_server
+    from repro.serving.loadgen import LoadgenResult, _render_report, drive_server
+    from repro.serving.pool import build_pool_server
 
     spec = _loadgen_spec(args)
     tracer = _make_tracer(args)
@@ -430,18 +430,14 @@ def cmd_serve(args) -> str:
     the identical workload: replica processes sharing one read-only
     weight segment behind the same futures API.
     """
-    import numpy as np
-
-    from repro.eval.format import percentile_rows
     from repro.serving import (
         AsyncServer,
-        QueueFullError,
         build_engine,
         make_policy,
         make_slo_policy,
         model_crossover,
     )
-    from repro.serving.loadgen import build_payloads
+    from repro.serving.loadgen import build_payloads, drive_server
 
     if args.workers > 0:
         return _serve_pool(args)
@@ -452,10 +448,6 @@ def cmd_serve(args) -> str:
     crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
                                 device=engines[0].device)
     policy = make_policy(spec.policy, crossover, max(payloads))
-    rng = np.random.default_rng(spec.seed + 1)
-    lens = list(payloads)
-    chosen = rng.choice(len(lens), size=spec.num_requests)
-
     tracer = _make_tracer(args)
     events = _make_events(args)
     server = AsyncServer(engines, policy, max_batch=spec.max_batch,
@@ -463,42 +455,19 @@ def cmd_serve(args) -> str:
                          max_depth=spec.max_depth, tracer=tracer,
                          events=events,
                          slo=make_slo_policy(spec, engines[0], policy))
-    futures = []
     with server:
-        for i in range(spec.num_requests):
-            x = payloads[lens[chosen[i]]]
-            while True:
-                try:
-                    futures.append(server.submit(x))
-                    break
-                except QueueFullError:
-                    time.sleep(0.001)  # backpressure: retry shortly
-        responses = [f.result(timeout=60.0) for f in futures]
-
-    m = server.metrics
-    rows = [
-        ["engine", spec.engine],
-        ["workers", spec.workers],
-        ["bucket policy", f"{policy.name} (crossover={crossover})"],
-        ["completed", sum(r.ok for r in responses)],
-        ["rejected", m.rejected],
-    ]
-    rows += percentile_rows(m.latencies_us) if m.latencies_us else []
-    rows += [["mean batch size", m.mean_batch_size],
-             ["max queue depth", m.max_queue_depth]]
-    if args.slo_us is not None:
-        rows.append(["slo attainment", f"{m.slo.attainment:.4f} "
-                                       f"({m.slo.met}/{m.slo.total})"])
-    out = [_fmt_table(["metric", "value"], rows,
-                      f"serve — {spec.engine} / {spec.model} (live threads)")]
-    out += _write_observability(args, tracer, m, events=events)
+        responses = drive_server(server, spec, payloads, timeout_s=60.0)
+    out = [_serve_table(args, spec, "live threads",
+                        ["workers", spec.workers], policy, crossover,
+                        server.metrics, responses)]
+    out += _write_observability(args, tracer, server.metrics, events=events)
     return "\n".join(out)
 
 
 def _serve_pool(args) -> str:
     """``serve --workers N``: the same workload on the replica pool."""
-    from repro.eval.format import percentile_rows
-    from repro.serving.pool import build_pool_server, drive_server
+    from repro.serving.loadgen import drive_server
+    from repro.serving.pool import build_pool_server
 
     spec = _loadgen_spec(args)
     tracer = _make_tracer(args)
@@ -509,15 +478,30 @@ def _serve_pool(args) -> str:
     with server:
         responses = drive_server(server, spec, payloads)
         snap = server.pool_snapshot()
-    m = server.metrics
+    out = [_serve_table(
+        args, spec, f"{args.workers} replica processes",
+        ["replica processes", args.workers], policy, crossover,
+        server.metrics, responses,
+        [["batches stolen", int(snap["steals"])],
+         ["shared weights MiB",
+          round(float(snap["shm_bytes"]) / 2**20, 2)]])]
+    out += _write_observability(args, tracer, server.metrics, events=events,
+                                pool=snap)
+    return "\n".join(out)
+
+
+def _serve_table(args, spec, backend, workers_row, policy, crossover, m,
+                 responses, extra_rows=()) -> str:
+    """The ``serve`` report table, shared by the thread and pool paths."""
+    from repro.eval.format import percentile_rows
+
     rows = [
         ["engine", spec.engine],
-        ["replica processes", args.workers],
+        workers_row,
         ["bucket policy", f"{policy.name} (crossover={crossover})"],
         ["completed", sum(r.ok for r in responses)],
         ["rejected", m.rejected],
-        ["batches stolen", int(snap["steals"])],
-        ["shared weights MiB", round(float(snap["shm_bytes"]) / 2**20, 2)],
+        *extra_rows,
     ]
     rows += percentile_rows(m.latencies_us) if m.latencies_us else []
     rows += [["mean batch size", m.mean_batch_size],
@@ -525,11 +509,8 @@ def _serve_pool(args) -> str:
     if args.slo_us is not None:
         rows.append(["slo attainment", f"{m.slo.attainment:.4f} "
                                        f"({m.slo.met}/{m.slo.total})"])
-    out = [_fmt_table(["metric", "value"], rows,
-                      f"serve — {spec.engine} / {spec.model} "
-                      f"({args.workers} replica processes)")]
-    out += _write_observability(args, tracer, m, events=events, pool=snap)
-    return "\n".join(out)
+    return _fmt_table(["metric", "value"], rows,
+                      f"serve — {spec.engine} / {spec.model} ({backend})")
 
 
 def cmd_trace(args) -> str:

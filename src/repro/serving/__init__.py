@@ -1,26 +1,22 @@
-"""Serving layer: async request queue, bucketed dynamic batching, load gen.
+"""Serving layer: bounded queue, bucketed dynamic batching, load gen.
 
-The pipeline (ISSUE 1 / the ROADMAP's traffic-scaling track)::
+The pipeline (the ROADMAP's traffic-scaling track)::
 
     Request --> RequestQueue --> DynamicBatcher --> EngineWorker pool
     (admit / reject)   (length buckets aligned      (Engine.run_batch,
                         to the OTF crossover)        cost-model service)
 
-Two drivers share every stage:
+:class:`~repro.serving.core.ServingCore` owns the queue, the batcher and
+the recorders (metrics, event log, tracer) and records every transition.
+Three backends drive it, each keeping only its dispatch model:
 
 - :class:`~repro.serving.scheduler.Scheduler` — deterministic virtual-time
   simulation (the ``loadgen`` CLI and the serving benches).
-- :class:`~repro.serving.server.AsyncServer` — thread-backed futures API
-  (the ``serve`` CLI).
-- :class:`~repro.serving.pool.PoolServer` — multi-process replica pool
-  behind the same futures API (``serve``/``loadgen --workers N``):
-  shared-memory read-only weights, a load-aware router with work
-  stealing, and per-tenant admission quotas (see
-  :mod:`repro.serving.pool`).
-
-Both drivers accept a :class:`~repro.obs.trace.Tracer` to collect the
-request → batch → layer → kernel span tree (see :mod:`repro.obs`); the
-default :class:`~repro.obs.trace.NullTracer` keeps the hot path unchanged.
+- :class:`~repro.serving.server.AsyncServer` — engine threads behind a
+  futures API (the ``serve`` CLI).
+- :class:`~repro.serving.pool.PoolServer` — replica processes behind the
+  same futures API (``serve``/``loadgen --workers N``): shared-memory
+  weights, a load-aware router with work stealing, per-tenant quotas.
 """
 
 from repro.serving.batcher import Batch, DynamicBatcher
@@ -41,7 +37,7 @@ from repro.serving.pool import (
 )
 from repro.serving.queue import QueueClosedError, QueueFullError, RequestQueue
 from repro.serving.request import Request, Response, ResponseStatus
-from repro.serving.scheduler import EngineWorker, Scheduler, SchedulerConfig
+from repro.serving.scheduler import EngineWorker, Scheduler
 from repro.serving.server import AsyncServer
 
 __all__ = [
@@ -64,7 +60,6 @@ __all__ = [
     "ResponseStatus",
     "Router",
     "Scheduler",
-    "SchedulerConfig",
     "build_engine",
     "make_policy",
     "make_slo_policy",

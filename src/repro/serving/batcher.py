@@ -30,11 +30,6 @@ class Batch:
         """Number of requests in the batch."""
         return len(self.requests)
 
-    @property
-    def oldest_arrival_us(self) -> float:
-        """Arrival time of the longest-waiting member."""
-        return min(r.arrival_us for r in self.requests)
-
 
 @dataclass
 class DynamicBatcher:

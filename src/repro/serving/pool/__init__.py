@@ -8,43 +8,26 @@ them with outstanding-cost accounting, work stealing, and per-tenant
 admission quotas. :class:`PoolServer` exposes the whole thing behind the
 :class:`~repro.serving.server.AsyncServer` interface, so every driver
 (CLI ``serve``/``loadgen``, benches, tests) picks a backend with one
-flag.
+flag. The replica side of the IPC protocol is :mod:`.worker`.
 """
 
-from repro.serving.pool.driver import (
-    build_pool_server,
-    drive_server,
-    request_mix,
-)
+# drive_server lives with the load generator (it drives any live server);
+# it is re-exported here for callers that build and drive a pool.
+from repro.serving.loadgen import drive_server
 from repro.serving.pool.router import (
     AdmissionController,
     QuotaExceededError,
     ReplicaGoneError,
     Router,
 )
-from repro.serving.pool.server import PoolServer
-from repro.serving.pool.worker import (
-    STOP,
-    BatchResult,
-    BatchTask,
-    WorkerGoodbye,
-    WorkerHello,
-    replica_main,
-)
+from repro.serving.pool.server import PoolServer, build_pool_server
 
 __all__ = [
     "AdmissionController",
-    "BatchResult",
-    "BatchTask",
     "PoolServer",
     "QuotaExceededError",
     "ReplicaGoneError",
     "Router",
-    "STOP",
-    "WorkerGoodbye",
-    "WorkerHello",
     "build_pool_server",
     "drive_server",
-    "replica_main",
-    "request_mix",
 ]

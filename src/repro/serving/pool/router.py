@@ -53,11 +53,6 @@ class AdmissionController:
         self._quotas = dict(quotas or {})
         self._inflight: dict[int, int] = {}
 
-    def quota_for(self, client: int) -> int | None:
-        """The effective quota for one tenant (None = unlimited)."""
-        with self._lock:
-            return self._quotas.get(client, self.default_quota)
-
     def admit(self, client: int) -> None:
         """Count one request in; raises :class:`QuotaExceededError` at cap."""
         with self._lock:

@@ -2,14 +2,12 @@
 
 One :func:`replica_main` runs per pool replica (spawned process). It maps
 the parent's :class:`~repro.runtime.shm.WeightManifest` into zero-copy
-read-only weight views, builds its *own* engine on top of them — which
-gives it a private, per-replica plan cache (``repro.runtime.plan`` keeps
-one process-wide :data:`~repro.runtime.plan.PLAN_CACHE`, so process
-isolation makes it per-replica for free) — and then loops: take a
-:class:`BatchTask` off its task queue, execute it through the exact same
-:class:`~repro.serving.scheduler.EngineWorker` path the thread-backed
-server uses, and ship a :class:`BatchResult` back on the shared result
-queue.
+read-only weight views and builds its *own* engine on them — so each
+replica has a private plan cache (:data:`~repro.runtime.plan.PLAN_CACHE`
+is process-wide) — then loops: take a :class:`BatchTask` off its task
+queue, run it through an :class:`~repro.serving.scheduler.EngineWorker`
+that memoizes the payload-table entries, and ship a :class:`BatchResult`
+back on the shared result queue.
 
 Determinism: a batch's outputs and cost-model latencies are a pure
 function of its inputs (the packed path is bitwise-equal to serial and
@@ -27,7 +25,6 @@ additionally elides the response tensors for throughput benchmarking.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -52,9 +49,6 @@ class WorkerHello:
     """First message each replica sends: it is attached and serving."""
 
     worker_id: int
-    pid: int
-    shm_bytes: int
-    engine: str
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,6 @@ class BatchResult:
     worker_id: int
     batch_id: int
     service_us: float
-    latencies_us: list[float]
     outputs: list[np.ndarray] | None
     choices: list[dict[str, str]]
     #: Per-request kernel records (only when the task asked for a trace).
@@ -138,13 +131,12 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
     except Exception as exc:  # report, don't kill the replica
         return BatchResult(
             worker_id=worker_id, batch_id=task.batch_id, service_us=0.0,
-            latencies_us=[], outputs=None, choices=[], records=None,
+            outputs=None, choices=[], records=None,
             plan_stats=PLAN_CACHE.stats(),
             counters=worker_counters(worker),
             error=f"{type(exc).__name__}: {exc}")
     return BatchResult(
         worker_id=worker_id, batch_id=task.batch_id, service_us=service_us,
-        latencies_us=[res.timeline.total_time_us for res in results],
         outputs=[res.output for res in results] if task.return_outputs
         else None,
         choices=[dict(res.choices) for res in results],
@@ -158,8 +150,7 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
 def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
                  task_q: "MpQueue", result_q: "MpQueue",
                  payload_table: dict[int, np.ndarray] | None = None,
-                 packed: bool | None = None,
-                 memoize_by_len: bool = False) -> None:
+                 packed: bool | None = None) -> None:
     """Entry point of one replica process (spawn target).
 
     Attaches the shared weight segment, builds the engine over read-only
@@ -176,10 +167,11 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
     store = SharedWeightStore.attach(manifest)
     try:
         engine = ENGINE_CLASSES[engine_name](store.weights())
-        worker = EngineWorker(engine, memoize_by_len=memoize_by_len,
-                              packed=packed)
-        result_q.put(WorkerHello(worker_id=worker_id, pid=os.getpid(),
-                                 shm_bytes=store.nbytes, engine=engine.name))
+        # A resolved payload-table reference *is* the table's array, so
+        # the worker's memo serves exactly the table payloads.
+        worker = EngineWorker(engine, packed=packed,
+                              payload_table=payload_table)
+        result_q.put(WorkerHello(worker_id=worker_id))
         while True:
             try:
                 task = task_q.get()

@@ -3,9 +3,8 @@
 The queue is the single pending store of the serving layer: requests wait
 here from admission until the batcher pulls them into a dispatch. Ordering
 is priority-first, FIFO within a priority level. ``put`` applies admission
-control — when the queue is at ``max_depth`` it either rejects immediately
-(backpressure, the deterministic scheduler's mode) or blocks the caller
-(the thread-backed server's mode).
+control: at ``max_depth`` it rejects the request immediately
+(backpressure), in every backend.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.serving.request import Request
 
@@ -23,7 +22,7 @@ class QueueFullError(RuntimeError):
 
 
 class QueueClosedError(RuntimeError):
-    """Raised when putting into or blocking on a closed queue."""
+    """Raised when putting into a closed queue."""
 
 
 class RequestQueue:
@@ -36,43 +35,21 @@ class RequestQueue:
         self._heap: list[tuple[tuple[int, float, int], Request]] = []
         self._counter = itertools.count()
         self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
         self._closed = False
 
     def _key(self, req: Request) -> tuple[int, float, int]:
         # Higher priority first; FIFO (arrival, then admission order) within.
         return (-req.priority, req.arrival_us, next(self._counter))
 
-    # ---- admission --------------------------------------------------------
-
-    def put(self, req: Request, block: bool = False,
-            timeout: float | None = None) -> None:
-        """Admit a request; rejects (or blocks) when at ``max_depth``."""
-        with self._not_full:
+    def put(self, req: Request) -> None:
+        """Admit a request; raises :class:`QueueFullError` at ``max_depth``."""
+        with self._lock:
             if self._closed:
                 raise QueueClosedError("queue is closed")
-            if self.max_depth is not None:
-                if not block:
-                    if len(self._heap) >= self.max_depth:
-                        raise QueueFullError(
-                            f"queue at max depth {self.max_depth}"
-                        )
-                else:
-                    ok = self._not_full.wait_for(
-                        lambda: self._closed
-                        or len(self._heap) < self.max_depth,
-                        timeout=timeout,
-                    )
-                    if self._closed:
-                        raise QueueClosedError("queue closed while blocked")
-                    if not ok:
-                        raise QueueFullError(
-                            f"queue stayed at max depth {self.max_depth} "
-                            f"for {timeout}s"
-                        )
+            if self.max_depth is not None and \
+                    len(self._heap) >= self.max_depth:
+                raise QueueFullError(f"queue at max depth {self.max_depth}")
             heapq.heappush(self._heap, (self._key(req), req))
-            self._not_empty.notify()
 
     # ---- inspection -------------------------------------------------------
 
@@ -82,57 +59,11 @@ class RequestQueue:
         with self._lock:
             return len(self._heap)
 
-    def __len__(self) -> int:
-        return self.depth
-
-    def snapshot(self) -> list[Request]:
-        """Pending requests in dispatch order (does not consume them)."""
-        with self._lock:
-            return [req for _, req in sorted(self._heap)]
-
     def oldest_arrival(self, pred: Callable[[Request], bool]) -> float | None:
         """Earliest arrival time among pending requests matching ``pred``."""
         with self._lock:
             times = [r.arrival_us for _, r in self._heap if pred(r)]
         return min(times) if times else None
-
-    # ---- removal ----------------------------------------------------------
-
-    def pop(self, block: bool = False, timeout: float | None = None
-            ) -> Request | None:
-        """Remove and return the highest-priority request (None if empty)."""
-        with self._not_empty:
-            if block:
-                self._not_empty.wait_for(
-                    lambda: self._closed or self._heap, timeout=timeout)
-            if not self._heap:
-                return None
-            _, req = heapq.heappop(self._heap)
-            self._not_full.notify()
-            return req
-
-    def pop_where(self, pred: Callable[[Request], bool],
-                  limit: int) -> list[Request]:
-        """Remove up to ``limit`` matching requests, in dispatch order.
-
-        This is how the batcher pulls one bucket's worth of work while
-        leaving other buckets queued.
-        """
-        if limit <= 0:
-            return []
-        with self._not_full:
-            entries = sorted(self._heap)
-            taken, kept = [], []
-            for entry in entries:
-                if len(taken) < limit and pred(entry[1]):
-                    taken.append(entry[1])
-                else:
-                    kept.append(entry)
-            if taken:
-                self._heap = kept
-                heapq.heapify(self._heap)
-                self._not_full.notify_all()
-            return taken
 
     def counts(self, key: Callable[[Request], int]) -> dict[int, int]:
         """Pending-request count per ``key`` value (e.g. bucket index)."""
@@ -143,25 +74,44 @@ class RequestQueue:
                 out[k] = out.get(k, 0) + 1
         return out
 
-    # ---- lifecycle --------------------------------------------------------
+    # ---- removal ----------------------------------------------------------
 
-    def close(self) -> None:
-        """Stop admitting; wakes any blocked producers/consumers."""
+    def pop(self) -> Request | None:
+        """Remove and return the highest-priority request (None if empty)."""
         with self._lock:
-            self._closed = True
-            self._not_full.notify_all()
-            self._not_empty.notify_all()
+            if not self._heap:
+                return None
+            return heapq.heappop(self._heap)[1]
 
-    @property
-    def closed(self) -> bool:
-        """Whether the queue has been closed."""
+    def pop_where(self, pred: Callable[[Request], bool],
+                  limit: int) -> list[Request]:
+        """Remove up to ``limit`` matching requests, in dispatch order.
+
+        This is how the batcher pulls one bucket's worth of work while
+        leaving other buckets queued.
+        """
+        if limit <= 0:
+            return []
         with self._lock:
-            return self._closed
+            taken, kept = [], []
+            for entry in sorted(self._heap):
+                if len(taken) < limit and pred(entry[1]):
+                    taken.append(entry[1])
+                else:
+                    kept.append(entry)
+            if taken:
+                self._heap = kept
+                heapq.heapify(self._heap)
+            return taken
 
-    def drain(self) -> Iterable[Request]:
+    def drain(self) -> list[Request]:
         """Remove and return everything still pending, in dispatch order."""
-        with self._not_full:
+        with self._lock:
             entries = sorted(self._heap)
             self._heap = []
-            self._not_full.notify_all()
         return [req for _, req in entries]
+
+    def close(self) -> None:
+        """Stop admitting: every later ``put`` raises."""
+        with self._lock:
+            self._closed = True

@@ -9,26 +9,32 @@ must produce identical bytes for the same seeded mix.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.config import small_config
+from repro.obs.events import TERMINAL_KINDS, EventLog
 from repro.pruning import PruneMethod
 from repro.runtime import EncoderWeights, ETEngine
 from repro.runtime.shm import SharedWeightStore, segment_exists
 from repro.serving import AsyncServer, make_policy, model_crossover
 from repro.serving.batcher import Batch
-from repro.serving.loadgen import LoadgenSpec, build_engine, build_payloads
+from repro.serving.loadgen import (
+    LoadgenSpec,
+    build_engine,
+    build_payloads,
+    drive_server,
+    request_mix,
+    run_loadgen,
+)
 from repro.serving.pool import (
     AdmissionController,
     PoolServer,
     QuotaExceededError,
     Router,
     build_pool_server,
-    drive_server,
-    request_mix,
 )
 from repro.serving.request import Request, ResponseStatus
 
@@ -313,6 +319,21 @@ class TestPoolServer:
             assert resp.status is ResponseStatus.OK
             server.submit(x, client=5).result(timeout=120.0)  # slot freed
 
+    def test_memo_serves_only_table_payloads(self):
+        """A fresh array of a memoized length runs on the engine; only the
+        payload table's own arrays come from the per-length memo."""
+        spec = _spec()
+        server, payloads, _, _ = build_pool_server(spec, 1)
+        table_x = payloads[16]
+        fresh_x = np.random.default_rng(7).standard_normal(table_x.shape)
+        with server:
+            table = server.submit(table_x).result(timeout=120.0)
+            fresh = server.submit(fresh_x).result(timeout=120.0)
+        engine = build_engine(spec)
+        assert np.array_equal(table.output, engine.run(table_x).output)
+        assert not np.array_equal(fresh.output, table.output)
+        assert np.array_equal(fresh.output, engine.run(fresh_x).output)
+
     def test_metrics_text_has_pool_and_plan_cache_series(self):
         spec = _spec(num_requests=8)
         server, payloads, _, _ = build_pool_server(spec, 2)
@@ -347,3 +368,51 @@ def test_drive_server_backpressure_retries():
     assert len(responses) == spec.num_requests
     done = {ResponseStatus.OK, ResponseStatus.REJECTED}
     assert all(r.status in done for r in responses)
+
+
+# ---- batch lifecycle, every backend ----------------------------------------
+
+
+def _thread_server(spec: LoadgenSpec, events: EventLog) -> AsyncServer:
+    engines = [build_engine(spec) for _ in range(2)]
+    cfg = spec.model_config()
+    lens = build_payloads(spec)
+    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(lens),
+                                device=engines[0].device)
+    policy = make_policy(spec.policy, crossover, max(lens))
+    return AsyncServer(engines, policy, max_batch=spec.max_batch,
+                       max_wait_us=spec.max_wait_us,
+                       max_depth=spec.max_depth, events=events)
+
+
+@pytest.mark.parametrize("backend", ["loadgen", "threads", "pool"])
+def test_batch_lifecycle_holds_on_every_backend(backend):
+    """Each batch is formed once and dispatched once (never before it was
+    formed), completes exactly its members, and each rid ends once."""
+    spec = _spec(num_requests=24)
+    events = EventLog()
+    if backend == "loadgen":
+        run_loadgen(spec, events=events)
+    elif backend == "threads":
+        with _thread_server(spec, events) as server:
+            drive_server(server, spec, build_payloads(spec))
+    else:
+        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        with server:
+            drive_server(server, spec, payloads)
+
+    evs = events.sorted_events()
+    formed = [e for e in evs if e.kind == "batch_formed"]
+    dispatched = {e.batch_id: e for e in evs if e.kind == "dispatch"}
+    completes = Counter(e.batch_id for e in evs if e.kind == "complete")
+    assert formed and len(dispatched) == len(formed)
+    assert len({e.batch_id for e in formed}) == len(formed)
+    assert sum(e.kind == "dispatch" for e in evs) == len(formed)
+    for f in formed:
+        d = dispatched[f.batch_id]
+        assert d.ts_us >= f.ts_us
+        assert completes[f.batch_id] == f.size == d.size
+    assert sum(completes.values()) == sum(f.size for f in formed)
+    assert events.unterminated() == []
+    for rid in events.rids():
+        assert sum(k in TERMINAL_KINDS for k in events.lifecycle(rid)) == 1

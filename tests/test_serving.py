@@ -1,5 +1,7 @@
 """Serving layer: queue ordering, bucketing, batching, scheduling, metrics."""
 
+import sys
+import threading
 from collections import defaultdict
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from repro.config import small_config
 from repro.eval.format import percentile_rows
 from repro.eval.metrics import percentile
+from repro.obs.events import EventLog
 from repro.runtime import EncoderWeights, ETEngine, TensorRTLikeEngine
 from repro.serving import (
     AsyncServer,
@@ -20,7 +23,6 @@ from repro.serving import (
     RequestQueue,
     ResponseStatus,
     Scheduler,
-    SchedulerConfig,
     make_policy,
     run_loadgen,
 )
@@ -262,17 +264,22 @@ class TestSchedulerAndLoadgen:
     def test_memoized_worker_matches_plain(self, serve_cfg, rng):
         eng = ETEngine(EncoderWeights.random(serve_cfg, rng))
         pol = BucketPolicy(name="t", edges=(64,))
-        batcher = DynamicBatcher(pol, max_batch=4, max_wait_us=0.0)
-        xs = [rng.standard_normal((16, serve_cfg.d_model))]
-        reqs = [Request(rid=i, x=xs[0], arrival_us=0.0) for i in range(3)]
-        plain = Scheduler([EngineWorker(eng)], batcher,
-                          SchedulerConfig()).run(reqs)
-        batcher2 = DynamicBatcher(pol, max_batch=4, max_wait_us=0.0)
-        memo = Scheduler([EngineWorker(eng, memoize_by_len=True)], batcher2,
-                         SchedulerConfig()).run(reqs)
+        table = {16: rng.standard_normal((16, serve_cfg.d_model))}
+        fresh = rng.standard_normal((16, serve_cfg.d_model))
+        xs = [table[16], table[16], fresh, table[16]]
+        reqs = [Request(rid=i, x=x, arrival_us=0.0) for i, x in enumerate(xs)]
+
+        def serve(worker):
+            batcher = DynamicBatcher(pol, max_batch=4, max_wait_us=0.0)
+            return Scheduler([worker], batcher).run(reqs)
+
+        plain = serve(EngineWorker(eng))
+        memo = serve(EngineWorker(eng, payload_table=table))
         for a, b in zip(plain, memo):
             assert a.service_us == pytest.approx(b.service_us)
             np.testing.assert_allclose(a.output, b.output)
+        # the fresh array of a memoized length is never served from the memo
+        assert not np.allclose(memo[2].output, memo[0].output)
 
 
 class TestAsyncServerSmoke:
@@ -301,6 +308,43 @@ class TestAsyncServerSmoke:
         rep = run_loadgen(_small_loadgen_spec(num_requests=6))
         assert rep.metrics.completed + rep.metrics.rejected == 6
 
+    def test_concurrent_submitters_lose_no_update(self, serve_cfg, rng):
+        """More engine threads and submitters than cores, with a short
+        switch interval: every request ends once, in every recorder."""
+        engines = [TensorRTLikeEngine(EncoderWeights.random(serve_cfg, rng))
+                   for _ in range(4)]
+        pol = make_policy("fine32", crossover=224, max_seq_len=64)
+        xs = [rng.standard_normal((s, serve_cfg.d_model))
+              for s in (16, 32, 48, 64)]
+        events = EventLog()
+        futures: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with AsyncServer(engines, pol, max_batch=4, max_wait_us=200.0,
+                             max_depth=256, events=events) as server:
+                def submit_all(k):
+                    for i in range(10):
+                        futures.append(server.submit(xs[(k + i) % 4]))
+
+                clients = [threading.Thread(target=submit_all, args=(k,))
+                           for k in range(4)]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in clients)
+                responses = [f.result(timeout=30.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == 40 and all(r.ok for r in responses)
+        assert sorted(r.rid for r in responses) == list(range(40))
+        m = server.metrics
+        assert m.completed == len(m.latencies_us) == 40
+        assert sum(m.batch_sizes) == 40
+        assert events.unterminated() == []
+        assert events.counts()["complete"] == 40
+
     def test_submit_oversize_rejected(self, serve_cfg, rng):
         engines = [TensorRTLikeEngine(EncoderWeights.random(serve_cfg, rng))]
         pol = make_policy("single", crossover=224, max_seq_len=32)
@@ -320,6 +364,28 @@ class TestCLIServing:
         out = capsys.readouterr().out
         assert "p50 (us)" in out and "throughput (seq/s)" in out
         assert "crossover" in out
+
+    @pytest.mark.parametrize("backend", [[], ["--workers", "1"]],
+                             ids=["threads", "pool"])
+    def test_serve_cli_terminates_every_rid(self, backend, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.events import read_events
+
+        path = tmp_path / "events.jsonl"
+        rc = main(["serve", "--model", "small", "--requests", "24",
+                   "--max-len", "64", "--seq-step", "16",
+                   "--events-out", str(path), *backend])
+        assert rc == 0
+        out = capsys.readouterr().out
+        completed = [line.split() for line in out.splitlines()
+                     if line.startswith("completed")]
+        assert completed == [["completed", "24"]]
+        events = read_events(str(path))
+        assert events.unterminated() == []
+        for rid in events.rids():
+            kinds = events.lifecycle(rid)
+            assert sum(k in ("complete", "reject") for k in kinds) == 1
+        assert events.counts()["complete"] == 24
 
     def test_list_mentions_serving(self, capsys):
         from repro.cli import main
