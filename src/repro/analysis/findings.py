@@ -200,11 +200,11 @@ _RULE_LIST: tuple[Rule, ...] = (
     ),
     Rule(
         rule_id="ET402",
-        name="unlocked-collaborator-mutation",
-        summary="Mutating call on a lock-less collaborator outside the owner's lock",
-        invariant="MetricsRegistry/WindowedMetrics and friends are not "
+        name="unlocked-collaborator-call",
+        summary="Call on a lock-less collaborator outside the owner's lock",
+        invariant="ServingCore/MetricsRegistry and friends are not "
                   "thread-safe by design; their owner must wrap every "
-                  "mutating call in its own lock.",
+                  "call made through them in its own lock.",
         hint="move the call under 'with self.<lock>:'",
         paper_ref="serving layer thread contract (DESIGN.md §7)",
     ),
