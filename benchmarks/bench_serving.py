@@ -22,10 +22,10 @@ caches, per-length memoization and packed execution are features of the
 backend, not bench knobs. The loadgen section runs with per-bucket SLO
 deadlines (``slo_us=0``) so attainment/goodput land in the report, and a
 ``telemetry`` section measures instrumentation overhead (flight recorder
-alone, and with the per-kernel span tracer). The process exits nonzero if
-packed execution is ever slower than serial at batch ≥ 8, if the pool's
-outputs are not bitwise identical to the thread backend's, if pool
-throughput at batch ≥ 8 falls below the thread backend, or if
+alone, and with the Chrome trace derived from it). The process exits
+nonzero if packed execution is ever slower than serial at batch ≥ 8, if
+the pool's outputs are not bitwise identical to the thread backend's, if
+pool throughput at batch ≥ 8 falls below the thread backend, or if
 instrumentation changes the rendered report or the flight recorder costs
 more than the overhead sanity bound — what
 CI's perf-smoke job checks (which also gates the report against
@@ -193,24 +193,35 @@ def _loadgen_summary() -> dict:
     }
 
 
+def _traced_run(spec: LoadgenSpec):
+    """Loadgen with the flight recorder, then its Chrome trace built."""
+    from repro.obs import EventLog, build_trace, chrome_trace
+
+    events = EventLog()
+    result = run_loadgen(spec, events=events)
+    chrome_trace(*build_trace(events, result.engine))
+    return result
+
+
 def measure_telemetry_overhead(repeats: int = 15) -> dict:
     """Wall-clock cost of instrumentation on the summary workload.
 
     Three arms, best-of-``repeats`` each: plain (null recorders), the
-    flight recorder alone (``events``), and full deep profiling (events
-    plus the per-kernel span tracer). All rendered reports must be
-    byte-identical — observation never changes a reported number. The
-    always-on instrumentation *hooks* (``events.enabled`` guards, SLO
-    stamping) cost ≤ 2% by construction: the plain arm runs them and its
+    flight recorder alone (``events``), and full deep profiling (the
+    flight recorder, then the per-kernel Chrome trace built from its log
+    after the run). All rendered reports must be byte-identical —
+    observation never changes a reported number. The always-on
+    instrumentation *hooks* (``events.enabled`` guards, SLO stamping)
+    cost ≤ 2% by construction: the plain arm runs them and its
     deterministic metrics match the pre-instrumentation baseline exactly
     (the history gate checks this). The opt-in flight recorder adds a few
     percent *on this deliberately tiny model* (~2 us/event against ~150
     us/request of total work; negligible at production model sizes),
-    gated loosely to tolerate shared-runner noise. The span tracer is an
-    explicit profiling mode (one span per kernel, ~the cost of the
-    modeled kernels themselves here) and is recorded but not gated.
+    gated loosely to tolerate shared-runner noise. The derived trace is
+    an explicit profiling mode (one span per kernel) and is recorded but
+    not gated.
     """
-    from repro.obs import EventLog, Tracer
+    from repro.obs import EventLog
 
     spec = _summary_spec()
     run_loadgen(spec)  # warm plan caches for every arm
@@ -220,8 +231,7 @@ def measure_telemetry_overhead(repeats: int = 15) -> dict:
     arms = {
         "plain": lambda: run_loadgen(spec),
         "events": lambda: run_loadgen(spec, events=EventLog()),
-        "full": lambda: run_loadgen(spec, tracer=Tracer(),
-                                    events=EventLog()),
+        "full": lambda: _traced_run(spec),
     }
     best = {name: float("inf") for name in arms}
     reports = {}

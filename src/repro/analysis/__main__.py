@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.cache import FindingsCache
 from repro.analysis.findings import RULES, Finding, Severity
 from repro.analysis.runner import findings_with_lines, run_analysis
 
@@ -56,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print every rule with its invariant and exit")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the .etlint-cache findings cache")
     parser.add_argument(
         "--strict-suppressions", action="store_true",
         help="fail (exit 1) when any ET001 unused-suppression warning "
@@ -152,9 +148,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    cache = None if args.no_cache else FindingsCache(root)
     report = run_analysis(paths, root, baseline=baseline,
-                          rule_filter=rule_filter, cache=cache)
+                          rule_filter=rule_filter)
     for err in report.parse_errors:
         print(f"error: cannot parse {err}", file=sys.stderr)
 
@@ -177,8 +172,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if suppressed:
             summary += (f" ({report.suppressed_inline} inline-suppressed, "
                         f"{report.suppressed_baseline} baselined)")
-        if report.from_cache:
-            summary += f" [{report.from_cache} from cache]"
         print(summary, file=sys.stderr)
 
     errors = [f for f in report.findings if f.severity is not Severity.WARNING]

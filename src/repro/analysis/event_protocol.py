@@ -81,7 +81,7 @@ def _emit_kinds(node: ast.AST) -> dict[str, int]:
 
 
 def _branch_filter(test: ast.expr) -> bool | None:
-    """Assume recorder/tracer ``.enabled`` guards hold (worst case on)."""
+    """Assume recorder ``.enabled`` guards hold (worst case on)."""
     if isinstance(test, ast.Attribute) and test.attr == "enabled":
         return True
     return None

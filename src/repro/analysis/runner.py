@@ -23,7 +23,6 @@ is not evidence of staleness.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +36,6 @@ from repro.analysis.findings import Finding, make_finding
 from repro.analysis.resolve import ConstEnv, device_specs, module_constants
 
 if TYPE_CHECKING:
-    from repro.analysis.cache import FindingsCache
     from repro.analysis.thread_safety import ClassIndex
 
 _DISABLE_RE = re.compile(r"#\s*etlint:\s*disable=([A-Za-z0-9_,]+)")
@@ -53,7 +51,6 @@ class SourceFile:
     tree: ast.Module
     lines: list[str]
     env: ConstEnv = field(default_factory=dict)
-    sha: str = ""
 
     def source_line(self, lineno: int) -> str:
         """1-indexed physical line, empty string when out of range."""
@@ -88,7 +85,6 @@ class AnalysisReport:
     suppressed_baseline: int
     parse_errors: list[str] = field(default_factory=list)
     unused_suppressions: int = 0
-    from_cache: int = 0
 
 
 PassFn = Callable[[SourceFile, AnalysisContext], list[Finding]]
@@ -144,23 +140,8 @@ def load_files(paths: Sequence[Path], root: Path,
             module=module_name_for(py),
             tree=tree,
             lines=text.splitlines(),
-            sha=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         ))
     return files
-
-
-def project_digest(files: list[SourceFile]) -> str:
-    """Content digest over the whole analyzed tree.
-
-    Interprocedural passes make every file's findings depend on every
-    other file, so cached per-file results are only valid against the
-    exact tree they were computed in.
-    """
-    h = hashlib.sha256()
-    for sf in sorted(files, key=lambda s: s.display):
-        h.update(sf.display.encode("utf-8"))
-        h.update(sf.sha.encode("utf-8"))
-    return h.hexdigest()
 
 
 def build_context(files: list[SourceFile]) -> AnalysisContext:
@@ -295,23 +276,14 @@ def _collect(
     files: list[SourceFile],
     ctx: AnalysisContext,
     rule_filter: Callable[[str], bool] | None,
-    cache: "FindingsCache | None" = None,
-) -> tuple[list[tuple[Finding, str]], int, list[Finding], int]:
-    """Run the passes: (raw survivors, inline-suppressed, ET001, cached)."""
+) -> tuple[list[tuple[Finding, str]], int, list[Finding]]:
+    """Run the passes: (raw survivors, inline-suppressed, ET001)."""
     passes = default_passes()
-    digest = project_digest(files) if cache is not None else ""
     raw: list[tuple[Finding, str]] = []
     inline_suppressed = 0
     unused: list[Finding] = []
-    from_cache = 0
     for sf in files:
-        found = cache.get(sf, digest) if cache is not None else None
-        if found is None:
-            found = _raw_findings_for(sf, ctx, passes)
-            if cache is not None:
-                cache.put(sf, digest, found)
-        else:
-            from_cache += 1
+        found = _raw_findings_for(sf, ctx, passes)
         comments = _suppression_comments(sf)
         for finding in found:
             suppressor = _suppressing_comment(comments, finding)
@@ -332,7 +304,7 @@ def _collect(
                         f"unused suppression 'etlint: disable={ids}': no "
                         f"matching finding is anchored on line "
                         f"{comment.target_line}"))
-    return raw, inline_suppressed, unused, from_cache
+    return raw, inline_suppressed, unused
 
 
 def run_analysis(
@@ -340,22 +312,17 @@ def run_analysis(
     root: Path | None = None,
     baseline: Baseline | None = None,
     rule_filter: Callable[[str], bool] | None = None,
-    cache: "FindingsCache | None" = None,
 ) -> AnalysisReport:
     """Analyze ``paths`` and return the surviving findings.
 
     ``rule_filter`` restricts reporting to matching rule ids (used by
     ``--rules``); inline suppressions and the baseline apply after it.
-    ``cache`` (a :class:`repro.analysis.cache.FindingsCache`) reuses
-    per-file findings when neither the file nor the rest of the tree
-    changed since the cached run.
     """
     root = root or Path.cwd()
     errors: list[str] = []
     files = load_files(paths, root, errors)
     ctx = build_context(files)
-    raw, inline_suppressed, unused, from_cache = _collect(
-        files, ctx, rule_filter, cache)
+    raw, inline_suppressed, unused = _collect(files, ctx, rule_filter)
     baseline_suppressed = 0
     if baseline is not None:
         survivors, baseline_suppressed = baseline.filter(raw)
@@ -370,7 +337,6 @@ def run_analysis(
         suppressed_baseline=baseline_suppressed,
         parse_errors=errors,
         unused_suppressions=len(unused),
-        from_cache=from_cache,
     )
 
 
@@ -387,6 +353,6 @@ def findings_with_lines(
     errors: list[str] = []
     files = load_files(paths, root, errors)
     ctx = build_context(files)
-    raw, _suppressed, _unused, _cached = _collect(files, ctx, None)
+    raw, _suppressed, _unused = _collect(files, ctx, None)
     raw.sort(key=lambda pair: pair[0].sort_key())
     return raw

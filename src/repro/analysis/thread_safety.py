@@ -3,7 +3,7 @@
 The serving contract (DESIGN.md §7/§8) is that :class:`AsyncServer` owns
 one condition/lock and every mutation of its shared state — its own
 attributes *and* its deliberately lock-less collaborators
-(:class:`MetricsRegistry`, the tracer store) — happens while holding it;
+(:class:`MetricsRegistry`, the serving core) — happens while holding it;
 the deterministic :class:`Scheduler` is single-threaded and stays
 lock-free by design. The replica pool's parent-side classes
 (:class:`~repro.serving.pool.server.PoolServer`,

@@ -322,29 +322,27 @@ def _loadgen_spec(args):
     )
 
 
-def _make_tracer(args):
-    """A live tracer when ``--trace-out`` was given, else the null tracer."""
-    from repro.obs import NULL_TRACER, Tracer
-
-    return Tracer() if getattr(args, "trace_out", None) else NULL_TRACER
-
-
 def _make_events(args):
-    """A live event log when ``--events-out`` was given, else the null log."""
+    """A live event log when ``--events-out`` or ``--trace-out`` was given
+    (the trace is derived from the log), else the null log."""
     from repro.obs import NULL_EVENT_LOG, EventLog
 
-    return EventLog() if getattr(args, "events_out", None) else NULL_EVENT_LOG
+    wanted = getattr(args, "events_out", None) or getattr(args, "trace_out",
+                                                          None)
+    return EventLog() if wanted else NULL_EVENT_LOG
 
 
-def _write_observability(args, tracer, metrics, events=None,
+def _write_observability(args, engine, metrics, events,
                          pool=None) -> list[str]:
     """Write ``--trace-out`` / ``--metrics-out`` / ``--events-out`` files.
 
-    With a ``pool`` snapshot the metrics page also carries the
-    replica-level pool series (one endpoint for every replica). Returns
-    human-readable notes for the report footer.
+    The trace is built from the run's event log and ``engine`` (the
+    engine it served with). With a ``pool`` snapshot the metrics page
+    also carries the replica-level pool series (one endpoint for every
+    replica). Returns human-readable notes for the report footer.
     """
     from repro.obs import (
+        build_trace,
         pool_prometheus_text,
         prometheus_text,
         write_chrome_trace,
@@ -353,7 +351,7 @@ def _write_observability(args, tracer, metrics, events=None,
 
     notes = []
     if getattr(args, "trace_out", None):
-        write_chrome_trace(args.trace_out, tracer)
+        write_chrome_trace(args.trace_out, *build_trace(events, engine))
         notes.append(f"[trace written to {args.trace_out} — "
                      "open in chrome://tracing or ui.perfetto.dev]")
     if getattr(args, "metrics_out", None):
@@ -364,7 +362,7 @@ def _write_observability(args, tracer, metrics, events=None,
             f.write(text)
         notes.append(f"[metrics written to {args.metrics_out} — "
                      "Prometheus text exposition]")
-    if getattr(args, "events_out", None) and events is not None:
+    if getattr(args, "events_out", None):
         write_events(args.events_out, events)
         notes.append(f"[events written to {args.events_out} — "
                      f"{len(events)} lifecycle events, validate "
@@ -384,11 +382,10 @@ def cmd_loadgen(args) -> str:
 
     if args.workers > 0:
         return _loadgen_pool(args)
-    tracer = _make_tracer(args)
     events = _make_events(args)
-    result = run_loadgen(_loadgen_spec(args), tracer=tracer, events=events)
+    result = run_loadgen(_loadgen_spec(args), events=events)
     out = [result.report]
-    out += _write_observability(args, tracer, result.metrics, events=events)
+    out += _write_observability(args, result.engine, result.metrics, events)
     return "\n".join(out)
 
 
@@ -398,23 +395,22 @@ def _loadgen_pool(args) -> str:
     from repro.serving.pool import build_pool_server
 
     spec = _loadgen_spec(args)
-    tracer = _make_tracer(args)
     events = _make_events(args)
     server, payloads, policy, crossover = build_pool_server(
-        spec, args.workers, tracer=tracer,
-        max_inflight_per_tenant=args.tenant_quota, events=events)
+        spec, args.workers, max_inflight_per_tenant=args.tenant_quota,
+        events=events)
     with server:
         responses = drive_server(server, spec, payloads)
         snap = server.pool_snapshot()
     result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,
                            responses=responses, metrics=server.metrics,
-                           slo=server.slo)
+                           engine=server.engine, slo=server.slo)
     result.report = _render_report(result)
     out = [result.report,
            f"[pool backend: {args.workers} replica processes, "
            f"{int(snap['steals'])} steals, "
            f"{float(snap['shm_bytes']) / 2**20:.2f} MiB shared weights]"]
-    out += _write_observability(args, tracer, server.metrics, events=events,
+    out += _write_observability(args, server.engine, server.metrics, events,
                                 pool=snap)
     return "\n".join(out)
 
@@ -448,19 +444,17 @@ def cmd_serve(args) -> str:
     crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
                                 device=engines[0].device)
     policy = make_policy(spec.policy, crossover, max(payloads))
-    tracer = _make_tracer(args)
     events = _make_events(args)
     server = AsyncServer(engines, policy, max_batch=spec.max_batch,
                          max_wait_us=spec.max_wait_us,
-                         max_depth=spec.max_depth, tracer=tracer,
-                         events=events,
+                         max_depth=spec.max_depth, events=events,
                          slo=make_slo_policy(spec, engines[0], policy))
     with server:
         responses = drive_server(server, spec, payloads, timeout_s=60.0)
     out = [_serve_table(args, spec, "live threads",
                         ["workers", spec.workers], policy, crossover,
                         server.metrics, responses)]
-    out += _write_observability(args, tracer, server.metrics, events=events)
+    out += _write_observability(args, engines[0], server.metrics, events)
     return "\n".join(out)
 
 
@@ -470,11 +464,10 @@ def _serve_pool(args) -> str:
     from repro.serving.pool import build_pool_server
 
     spec = _loadgen_spec(args)
-    tracer = _make_tracer(args)
     events = _make_events(args)
     server, payloads, policy, crossover = build_pool_server(
-        spec, args.workers, tracer=tracer,
-        max_inflight_per_tenant=args.tenant_quota, events=events)
+        spec, args.workers, max_inflight_per_tenant=args.tenant_quota,
+        events=events)
     with server:
         responses = drive_server(server, spec, payloads)
         snap = server.pool_snapshot()
@@ -485,7 +478,7 @@ def _serve_pool(args) -> str:
         [["batches stolen", int(snap["steals"])],
          ["shared weights MiB",
           round(float(snap["shm_bytes"]) / 2**20, 2)]])]
-    out += _write_observability(args, tracer, server.metrics, events=events,
+    out += _write_observability(args, server.engine, server.metrics, events,
                                 pool=snap)
     return "\n".join(out)
 
@@ -822,7 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--trace-out", default=None, dest="trace_out",
                    metavar="FILE",
                    help="write a Chrome trace_event JSON of the run "
-                        "(chrome://tracing / Perfetto)")
+                        "(chrome://tracing / Perfetto), derived from its "
+                        "event log after the run")
     o.add_argument("--metrics-out", default=None, dest="metrics_out",
                    metavar="FILE",
                    help="write a Prometheus text exposition of the run's "

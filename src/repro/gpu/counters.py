@@ -57,7 +57,7 @@ class KernelRecord:
         """This launch's SM busy fraction (launch gap counted as idle).
 
         The per-kernel counterpart of :attr:`Timeline.sm_efficiency`; the
-        tracer attaches it to kernel spans (Fig. 11(c) per launch).
+        trace attaches it to kernel spans (Fig. 11(c) per launch).
         """
         if self.time_us == 0.0:
             return 0.0
@@ -123,7 +123,7 @@ class Timeline:
 
         ``prefix`` wraps the incoming records in an enclosing region label
         (e.g. ``"request0"``), so a merged batch timeline keeps per-member
-        provenance: ``time_by_region`` and the tracer can attribute each
+        provenance: ``time_by_region`` and the trace can attribute each
         kernel to the request that launched it.
         """
         if other.device is not self.device and other.device != self.device:

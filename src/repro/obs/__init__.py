@@ -1,26 +1,27 @@
-"""Observability: span tracing, Chrome-trace export, Prometheus exposition.
+"""Observability: one flight recorder, and the exports derived from it.
 
-Unifies the repo's two telemetry islands — per-kernel
-:class:`~repro.gpu.counters.Timeline` records inside one engine run, and
-the serving layer's end-of-run :class:`~repro.serving.metrics.MetricsRegistry`
-snapshot — into one hierarchical trace::
+While a run serves, the serving layer records one thing: the
+flight-recorder :class:`EventLog` of request and batch transitions
+(plus the :class:`~repro.serving.metrics.MetricsRegistry` aggregates).
+The rest is built from that log afterwards:
 
-    request ── queue_wait / service ── layer ── step ── kernel
-
-and two standard export formats:
-
-- **Chrome ``trace_event`` JSON** (:func:`write_chrome_trace`) — load the
-  file in chrome://tracing or https://ui.perfetto.dev; kernel spans carry
-  the Fig. 11/12 profiling counters, counter tracks show queue depth and
-  achieved GB/s.
+- **Chrome ``trace_event`` JSON** (:func:`build_trace`, then
+  :func:`write_chrome_trace`) — request ── queue_wait / service ── layer
+  ── step ── kernel, with the Fig. 11/12 counters on every kernel span
+  and counter tracks for queue depth and achieved GB/s. Every kernel
+  cost is a pure function of shapes, so replaying the engine's plan for
+  a request's ``seq_len`` rebuilds its kernel tree exactly.
+- **Waterfalls, trace diffs and roofline attribution**
+  (:mod:`~repro.obs.critical_path`, :mod:`~repro.obs.diff`,
+  :mod:`~repro.obs.attribution`).
 - **Prometheus text exposition** (:func:`prometheus_text`) — whole-run
   registry aggregates plus the rolling-window gauges of
   :class:`WindowedMetrics` (live p50/p95/p99, EWMA throughput, per-bucket
   batch-size histograms).
 
-Tracing is opt-in: every traced component defaults to :data:`NULL_TRACER`,
+Recording is opt-in: every driver defaults to :data:`NULL_EVENT_LOG`,
 whose ``enabled`` flag keeps the hot path allocation-free, so the cost
-model's reported numbers are identical with tracing off.
+model's reported numbers are identical with recording off.
 """
 
 from repro.obs.attribution import attribute, report_json, write_report
@@ -61,14 +62,7 @@ from repro.obs.prometheus import (
     write_prometheus,
 )
 from repro.obs.slo import SloPolicy, SloTracker
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    engine_spans,
-    render_span_tree,
-)
+from repro.obs.trace import Span, build_trace, engine_spans, render_span_tree
 from repro.obs.windowed import WindowedMetrics
 
 __all__ = [
@@ -79,20 +73,18 @@ __all__ = [
     "EventLog",
     "GATED_METRICS",
     "NULL_EVENT_LOG",
-    "NULL_TRACER",
     "NullEventLog",
-    "NullTracer",
     "Regression",
     "STAGES",
     "SloPolicy",
     "SloTracker",
     "Span",
-    "Tracer",
     "Waterfall",
     "WindowedMetrics",
     "append_history",
     "attribute",
     "attribute_regression",
+    "build_trace",
     "build_waterfalls",
     "check_regressions",
     "chrome_trace",

@@ -10,16 +10,18 @@ Layout:
 - ``pid`` "counters" (3): counter tracks (``ph: "C"``) — queue depth
   sampled at every admission and each kernel's achieved GB/s.
 
-The export is a pure function of the tracer's contents: a seeded loadgen
-run produces a byte-identical file on every invocation (sorted keys, fixed
-separators, no wall-clock anywhere).
+The export is a pure function of the span roots and counter tracks it
+is given (:func:`~repro.obs.trace.build_trace` derives both from a run's
+event log): a seeded loadgen run produces a byte-identical file on every
+invocation (sorted keys, fixed separators, no wall-clock anywhere).
 """
 
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Counters, Span
 
 _PID_REQUESTS = 1
 _PID_WORKERS = 2
@@ -50,14 +52,14 @@ def _emit_tree(span: Span, pid: int, tid: int, events: list[dict]) -> None:
         _emit_tree(c, pid, tid, events)
 
 
-def chrome_trace(tracer: Tracer) -> dict:
-    """The tracer's spans and counters as a ``trace_event`` JSON object."""
+def chrome_trace(roots: Sequence[Span], counters: Counters) -> dict:
+    """Span roots and counter tracks as a ``trace_event`` JSON object."""
     events: list[dict] = [
         _meta(_PID_REQUESTS, "requests"),
         _meta(_PID_WORKERS, "workers"),
         _meta(_PID_COUNTERS, "counters"),
     ]
-    for root in tracer.roots:
+    for root in roots:
         if root.kind == "request":
             _emit_tree(root, _PID_REQUESTS, int(root.attrs.get("rid", 0)),
                        events)
@@ -67,13 +69,15 @@ def chrome_trace(tracer: Tracer) -> dict:
         else:
             _emit_tree(root, _PID_WORKERS, 0, events)
     # kernel-bandwidth counter track, derived from the kernel spans
-    for sp in tracer.spans_of_kind("kernel"):
-        events.append({
-            "name": "achieved_gbs", "ph": "C", "ts": sp.start_us,
-            "pid": _PID_COUNTERS, "tid": 0,
-            "args": {"GB/s": sp.attrs.get("achieved_gbs", 0.0)},
-        })
-    for track, samples in sorted(tracer.counters.items()):
+    for root in roots:
+        for sp in root.walk():
+            if sp.kind == "kernel":
+                events.append({
+                    "name": "achieved_gbs", "ph": "C", "ts": sp.start_us,
+                    "pid": _PID_COUNTERS, "tid": 0,
+                    "args": {"GB/s": sp.attrs.get("achieved_gbs", 0.0)},
+                })
+    for track, samples in sorted(counters.items()):
         for ts, value in samples:
             events.append({
                 "name": track, "ph": "C", "ts": ts,
@@ -83,14 +87,15 @@ def chrome_trace(tracer: Tracer) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace_json(tracer: Tracer) -> str:
+def chrome_trace_json(roots: Sequence[Span], counters: Counters) -> str:
     """Deterministic serialization of :func:`chrome_trace`."""
-    return json.dumps(chrome_trace(tracer), sort_keys=True,
+    return json.dumps(chrome_trace(roots, counters), sort_keys=True,
                       separators=(",", ":"))
 
 
-def write_chrome_trace(path: str, tracer: Tracer) -> None:
+def write_chrome_trace(path: str, roots: Sequence[Span],
+                       counters: Counters) -> None:
     """Write the trace to ``path`` (open in chrome://tracing or Perfetto)."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(chrome_trace_json(tracer))
+        f.write(chrome_trace_json(roots, counters))
         f.write("\n")

@@ -17,10 +17,15 @@ time*, not emission order, which makes logs comparable across worker
 counts (the per-rid lifecycle is invariant; only batch composition and
 replica placement may differ).
 
+This log is the serving layer's only recorder: the Chrome trace is
+derived from it after the run (:func:`repro.obs.trace.build_trace`), as
+its timestamps are every span boundary and every kernel cost depends
+only on shapes.
+
 The default recorder everywhere is :data:`NULL_EVENT_LOG`; call sites
-guard emission with ``events.enabled`` exactly like the tracer, so the
-hot path pays one attribute read when the recorder is off and reported
-numbers are identical either way.
+guard emission with ``events.enabled``, so the hot path pays one
+attribute read when the recorder is off and reported numbers are
+identical either way.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Hierarchical span tracer linking serving requests to engine kernels.
+"""Span trees linking serving requests to engine kernels, built after the run.
 
 The span hierarchy mirrors the path one request takes through the system::
 
-    request ── queue_wait / service          (driver clock: Scheduler/AsyncServer)
+    request ── queue_wait / service          (driver clock: event timestamps)
                   └─ layer{i}                (engine clock: Timeline regions)
                         └─ step (kernel tag group)
                               └─ kernel      (one KernelRecord + its counters)
@@ -13,17 +13,31 @@ kernel span carries the Fig. 11/12 profiling counters of its
 transactions, sm_efficiency, achieved GB/s), so a slow p99 request can be
 traced down to the exact kernels and their memory behaviour.
 
-The default tracer everywhere is :data:`NULL_TRACER`: call sites guard span
-construction with ``tracer.enabled``, so the hot path pays one attribute
-read when tracing is off and the cost model's reported numbers are
-byte-identical with and without a live tracer.
+There is no live span recorder. :func:`build_trace` derives a serving
+run's whole trace from its flight-recorder
+:class:`~repro.obs.events.EventLog`: the events hold every request and
+batch timestamp, and every kernel cost in the cost model is a pure
+function of shapes (serving requests carry no mask), so a request's
+kernel tree is fixed by its ``seq_len`` and is replayed from the
+engine's compiled plan for that length. The derived trace is therefore
+exactly the one a live recorder would have seen, and the serving hot
+path records each transition once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.gpu.counters import KernelRecord, Timeline
+from repro.obs.critical_path import EventsLike, _BatchInfo, _index, _RunIndex
+from repro.runtime.plan import LayerPlan, PlanCache, get_plan, replay_records
+
+if TYPE_CHECKING:
+    from repro.runtime.engine import Engine
+
+#: Counter tracks: track name -> ``(ts_us, value)`` samples in time order.
+Counters = dict[str, list[tuple[float, float]]]
 
 
 @dataclass
@@ -49,14 +63,6 @@ class Span:
                   attrs=attrs or {})
         self.children.append(sp)
         return sp
-
-    def shift(self, dt_us: float) -> "Span":
-        """Rebase this subtree by ``dt_us`` (engine time -> driver time)."""
-        self.start_us += dt_us
-        self.end_us += dt_us
-        for c in self.children:
-            c.shift(dt_us)
-        return self
 
     def walk(self):
         """Yield this span then every descendant, depth-first."""
@@ -88,56 +94,6 @@ class Span:
             sum(k.attrs.get("sm_efficiency", 0.0) * k.duration_us
                 for k in kernels) / time_us if time_us else 0.0)
         return out
-
-
-class Tracer:
-    """Collects root spans and counter-track samples for one run."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self.roots: list[Span] = []
-        self.counters: dict[str, list[tuple[float, float]]] = {}
-
-    def span(self, name: str, kind: str, start_us: float, end_us: float,
-             attrs: dict[str, object] | None = None) -> Span:
-        """Open-and-close one root span (driver clocks are synchronous)."""
-        sp = Span(name=name, kind=kind, start_us=start_us, end_us=end_us,
-                  attrs=attrs or {})
-        self.roots.append(sp)
-        return sp
-
-    def counter(self, track: str, ts_us: float, value: float) -> None:
-        """Append one sample to a named counter track (queue depth, GB/s)."""
-        self.counters.setdefault(track, []).append((ts_us, float(value)))
-
-    def spans_of_kind(self, kind: str) -> list[Span]:
-        """Every recorded span of one kind, in recording order."""
-        return [s for r in self.roots for s in r.walk() if s.kind == kind]
-
-
-class NullTracer(Tracer):
-    """The default no-op tracer: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 - no storage at all
-        pass
-
-    def span(self, name, kind, start_us, end_us, attrs=None) -> Span:
-        return _NULL_SPAN
-
-    def counter(self, track, ts_us, value) -> None:
-        return None
-
-    def spans_of_kind(self, kind) -> list[Span]:
-        return []
-
-
-#: Shared do-nothing tracer; the default for every traced component.
-NULL_TRACER = NullTracer()
-#: Sink span handed out by :class:`NullTracer` (children are discarded).
-_NULL_SPAN = Span(name="null", kind="null", start_us=0.0, end_us=0.0)
 
 
 def _kernel_attrs(rec: KernelRecord, device) -> dict[str, object]:
@@ -205,6 +161,86 @@ def engine_spans(timeline: Timeline, parent: Span,
     for _, sp in reversed(stack):
         sp.end_us = cursor
     return cursor
+
+
+def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
+                 plans: dict[int, LayerPlan]) -> list[Span]:
+    """One executed batch: its ``batch`` span, then one ``request`` span
+    per member with its ``queue_wait``/``service`` phases.
+
+    Members are laid in queue order (admission time, then rid — the
+    order the batcher pops them at equal priority) and their kernel
+    trees serially inside the batch window, exactly how the
+    single-stream cost model spends the service time.
+    """
+    start = batch.dispatch_us
+    spans = [Span(f"batch{batch.batch_id}", "batch", start, batch.end_us, {
+        "batch_id": batch.batch_id, "bucket": batch.bucket,
+        "size": batch.size, "worker": batch.replica, "engine": engine.name,
+    })]
+    cursor = start
+    for rid in sorted(batch.members, key=lambda r: (idx.admit_us[r], r)):
+        done, arrival = idx.complete[rid], idx.admit_us[rid]
+        plan = plans[done.seq_len]  # type: ignore[index]
+        sp = Span(f"request{rid}", "request", arrival, done.ts_us, {
+            "rid": rid, "seq_len": done.seq_len, "bucket": batch.bucket,
+            "batch_id": batch.batch_id, "batch_size": batch.size,
+            "engine": engine.name, "client": done.tenant,
+            "otf_regime": "/".join(sorted(set(plan.choices.values()))),
+            "status": "ok",
+        })
+        sp.child("queue_wait", "phase", arrival, start)
+        service = sp.child("service", "phase", start, done.ts_us,
+                           {"batch_id": batch.batch_id})
+        timeline = Timeline(engine.device)
+        replay_records(plan, timeline)
+        cursor = engine_spans(timeline, service, plan.choices, cursor)
+        spans.append(sp)
+    return spans
+
+
+def build_trace(events: EventsLike, engine: "Engine"
+                ) -> tuple[list[Span], Counters]:
+    """A serving run's span roots and counter tracks, from its event log.
+
+    ``engine`` is the engine the run served with. Roots come in
+    canonical event order: a ``rejected`` request span at each
+    ``queue_full`` rejection, and each completed batch's spans at the
+    dispatch it finished on (checkpoints, members and replicas from the
+    critical-path index). The ``queue_depth`` track samples the depth
+    before each admission; an admitted request counts from its own
+    ``admit`` (the canonical order puts every admit at one timestamp
+    before every enqueue), and a batch's members leave at
+    ``batch_formed``. Plans compile into a private cache, so the
+    process-wide plan-cache counters a run reports do not move.
+    """
+    idx = _index(events)
+    cache = PlanCache()
+    plans = {s: get_plan(engine, s, None, cache=cache)
+             for s in sorted({e.seq_len for e in idx.complete.values()})}
+    roots: list[Span] = []
+    depth_samples: list[tuple[float, float]] = []
+    depth = 0
+    laid: set[int] = set()
+    for e in idx.events:
+        if e.kind == "admit" and e.rid is not None:
+            depth_samples.append((e.ts_us, float(depth)))
+            if e.rid in idx.enqueue_us:
+                depth += 1
+        elif e.kind == "batch_formed" and e.size is not None:
+            depth -= e.size
+        elif e.kind == "reject" and e.detail == "queue_full":
+            roots.append(Span(f"request{e.rid}", "request", e.ts_us,
+                              e.ts_us, {"rid": e.rid, "seq_len": e.seq_len,
+                                        "client": e.tenant,
+                                        "status": "rejected"}))
+        elif e.kind == "dispatch" and e.batch_id not in laid:
+            batch = idx.batches.get(e.batch_id)  # type: ignore[arg-type]
+            if batch is not None and batch.members \
+                    and e.ts_us == batch.dispatch_us:
+                laid.add(batch.batch_id)
+                roots.extend(_batch_spans(idx, batch, engine, plans))
+    return roots, {"queue_depth": depth_samples}
 
 
 def render_span_tree(span: Span, indent: str = "") -> str:

@@ -7,7 +7,8 @@ The pipeline (the ROADMAP's traffic-scaling track)::
                         to the OTF crossover)        cost-model service)
 
 :class:`~repro.serving.core.ServingCore` owns the queue, the batcher and
-the recorders (metrics, event log, tracer) and records every transition.
+the recorders (metrics, event log) and records every transition; the
+Chrome trace is derived from the event log after the run.
 Three backends drive it, each keeping only its dispatch model:
 
 - :class:`~repro.serving.scheduler.Scheduler` — deterministic virtual-time

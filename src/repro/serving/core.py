@@ -1,8 +1,8 @@
 """The serving core: one owner for every request and batch transition.
 
 :class:`ServingCore` holds the bounded queue, the dynamic batcher, the
-metrics registry, the event log and the tracer of one serving run, and
-is the only place that records a state change:
+metrics registry and the event log of one serving run, and is the only
+place that records a state change:
 
     admit ──> enqueue ──> batch_formed ──> dispatch ──> complete
       └─> reject (queue_full)                       └─> reject (shed, ...)
@@ -15,6 +15,10 @@ transition records lands once. The core is clock-agnostic (callers pass
 every timestamp, and requests arrive with their SLO deadline already
 stamped) and not thread-safe: the live servers call it under their
 condition, which etlint's ET402 checks.
+
+The event log is the run's one recording substrate: the Chrome trace is
+derived from it after the run (:func:`repro.obs.trace.build_trace`), so
+no transition here builds a span.
 """
 
 from __future__ import annotations
@@ -24,46 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs.events import EventLog
-from repro.obs.trace import Tracer, engine_spans
-from repro.runtime.engine import EngineResult
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.queue import QueueFullError, RequestQueue
 from repro.serving.request import Request, Response, ResponseStatus
-
-
-def _trace_batch(tracer: Tracer, batch: Batch, engine_name: str,
-                 replica: int, start_us: float, finish_us: float,
-                 results: Sequence[EngineResult]) -> None:
-    """Record one executed batch into ``tracer``.
-
-    Opens the ``batch`` span on the worker's track and, per member, a
-    ``request`` span with its ``queue_wait``/``service`` phases; the
-    member's engine timeline (layers → steps → kernels) is laid serially
-    inside the batch window, which is exactly how the single-stream cost
-    model spends the service time.
-    """
-    tracer.span(f"batch{batch.batch_id}", "batch", start_us, finish_us, {
-        "batch_id": batch.batch_id, "bucket": batch.bucket,
-        "size": batch.size, "worker": replica, "engine": engine_name,
-    })
-    cursor = start_us
-    for req, res in zip(batch.requests, results):
-        regimes = sorted(set(res.choices.values()))
-        sp = tracer.span(f"request{req.rid}", "request", req.arrival_us,
-                         finish_us, {
-                             "rid": req.rid, "seq_len": req.seq_len,
-                             "bucket": batch.bucket,
-                             "batch_id": batch.batch_id,
-                             "batch_size": batch.size,
-                             "engine": engine_name, "client": req.client,
-                             "otf_regime": "/".join(regimes),
-                             "status": "ok",
-                         })
-        sp.child("queue_wait", "phase", req.arrival_us, start_us)
-        service = sp.child("service", "phase", start_us, finish_us,
-                           {"batch_id": batch.batch_id})
-        cursor = engine_spans(res.timeline, service, res.choices, cursor)
 
 
 def _reject_fields(req: Request, detail: str) -> dict[str, object]:
@@ -78,12 +46,10 @@ class ServingCore:
     """Queue, batcher and recorders of one run, and every transition."""
 
     def __init__(self, batcher: DynamicBatcher, max_depth: int,
-                 metrics: MetricsRegistry, tracer: Tracer,
-                 events: EventLog) -> None:
+                 metrics: MetricsRegistry, events: EventLog) -> None:
         self.batcher = batcher
         self.queue = RequestQueue(max_depth=max_depth)
         self.metrics = metrics
-        self.tracer = tracer
         self.events = events
 
     # ---- request transitions ----------------------------------------------
@@ -91,15 +57,13 @@ class ServingCore:
     def admit(self, req: Request) -> None:
         """Enqueue a stamped arrival at ``req.arrival_us``.
 
-        Samples the queue depth and emits ``admit`` then ``enqueue``. On a
+        Observes the queue depth and emits ``admit`` then ``enqueue``. On a
         full queue it emits ``reject`` (``queue_full``) and re-raises
         :class:`QueueFullError`: a live server hands it to the caller, the
         scheduler records the refusal with :meth:`refuse`.
         """
         depth = self.queue.depth
         self.metrics.observe_queue_depth(depth)
-        if self.tracer.enabled:
-            self.tracer.counter("queue_depth", req.arrival_us, depth)
         if self.events.enabled:
             self.events.emit("admit", req.arrival_us, rid=req.rid,
                              seq_len=req.seq_len, tenant=req.client,
@@ -118,17 +82,11 @@ class ServingCore:
     def refuse(self, req: Request) -> Response:
         """The rejected response of a request :meth:`admit` turned away.
 
-        Counted in the metrics and traced as a zero-length ``rejected``
-        request span; the ``reject`` event was already emitted by admit.
+        Counted in the metrics; the ``reject`` event was already emitted
+        by admit.
         """
         resp = Response.rejected(req, req.arrival_us)
         self.metrics.observe_response(resp)
-        if self.tracer.enabled:
-            self.tracer.span(f"request{req.rid}", "request", req.arrival_us,
-                             req.arrival_us, {
-                                 "rid": req.rid, "seq_len": req.seq_len,
-                                 "client": req.client, "status": "rejected",
-                             })
         return resp
 
     def reject(self, req: Request, now_us: float, detail: str) -> Response:
@@ -157,18 +115,10 @@ class ServingCore:
 
     def complete(self, batch: Batch, replica: int, start_us: float,
                  service_us: float, outputs: Sequence[np.ndarray | None],
-                 traced: tuple[str, Sequence[EngineResult]] | None = None,
                  ) -> list[Response]:
         """Every member's served response; the batch ends at
-        ``start_us + service_us``.
-
-        ``traced`` — the engine name and the members' engine results —
-        lays the batch's span tree into the tracer.
-        """
+        ``start_us + service_us``."""
         finish = start_us + service_us
-        if traced is not None and self.tracer.enabled:
-            _trace_batch(self.tracer, batch, traced[0], replica, start_us,
-                         finish, traced[1])
         responses = []
         for req, output in zip(batch.requests, outputs):
             resp = Response(

@@ -35,7 +35,6 @@ from repro.config import BERT_BASE, DISTILBERT, TRANSFORMER_WT2, ModelConfig, \
 from repro.eval.format import percentile_rows, render_table
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.slo import SloPolicy
-from repro.obs.trace import NullTracer, Tracer
 from repro.pruning import PruneMethod
 from repro.runtime.plan import PLAN_CACHE
 from repro.runtime import (
@@ -53,6 +52,7 @@ from repro.serving.request import Request, Response
 from repro.serving.scheduler import EngineWorker, Scheduler
 
 if TYPE_CHECKING:
+    from repro.runtime.engine import Engine
     from repro.serving.server import LiveServer
 
 ENGINE_CLASSES = {
@@ -104,13 +104,19 @@ class LoadgenSpec:
 
 @dataclass
 class LoadgenResult:
-    """One run's report: the metrics snapshot plus the rendered table."""
+    """One run's report: the metrics snapshot plus the rendered table.
+
+    ``engine`` is the engine the run served with — what
+    :func:`repro.obs.trace.build_trace` needs to derive the run's trace
+    from its event log.
+    """
 
     spec: LoadgenSpec
     policy: BucketPolicy
     crossover: int
     responses: list[Response]
     metrics: MetricsRegistry
+    engine: "Engine"
     slo: SloPolicy | None = None
     report: str = field(default="", repr=False)
 
@@ -254,16 +260,15 @@ def make_slo_policy(spec: LoadgenSpec, engine,
 
 
 def run_loadgen(spec: LoadgenSpec,
-                tracer: Tracer | None = None,
                 events: EventLog | None = None) -> LoadgenResult:
     """Execute one deterministic load-generation run and render its report.
 
-    Pass a :class:`~repro.obs.trace.Tracer` to collect the run's span tree
-    (request → batch → layer → kernel) and/or an
-    :class:`~repro.obs.events.EventLog` to record lifecycle events; with
-    the defaults the scheduler keeps its zero-overhead null recorders and
-    the report is byte-identical to an uninstrumented run — observation
-    never changes a reported number.
+    Pass an :class:`~repro.obs.events.EventLog` to record lifecycle
+    events (the run's span tree, request → batch → layer → kernel, is
+    derived from it afterwards with :func:`repro.obs.trace.build_trace`);
+    with the default the scheduler keeps its zero-overhead null recorder
+    and the report is byte-identical to an uninstrumented run —
+    observation never changes a reported number.
     """
     cfg = spec.model_config()
     engine = build_engine(spec)
@@ -279,7 +284,6 @@ def run_loadgen(spec: LoadgenSpec,
                for _ in range(spec.workers)]
     sched = Scheduler(
         workers=workers, batcher=batcher, max_depth=spec.max_depth,
-        tracer=tracer if tracer is not None else NullTracer(),
         events=events if events is not None else NULL_EVENT_LOG)
     if spec.mode == "closed":
         initial, follow_up = closed_loop_driver(spec, payloads, slo=slo)
@@ -292,7 +296,7 @@ def run_loadgen(spec: LoadgenSpec,
     sched.metrics.observe_plan_cache(PLAN_CACHE.stats(), source="scheduler")
     result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,
                            responses=responses, metrics=sched.metrics,
-                           slo=slo)
+                           engine=engine, slo=slo)
     result.report = _render_report(result)
     return result
 

@@ -18,10 +18,8 @@ Division of labour (three parent threads, N replica processes):
   remain stealable, which is how seqLen-bucket skew resolves;
 - the **collector** thread consumes one shared result queue: it settles
   router accounting, resolves futures, folds replica plan-cache counters
-  into the metrics registry, merges traced kernel records into the
-  parent tracer under the replica's worker track, and reaps dead
-  replicas (their unfinished batches are re-booked onto survivors, or
-  rejected when none remain).
+  into the metrics registry, and reaps dead replicas (their unfinished
+  batches are re-booked onto survivors, or rejected when none remain).
 
 Responses are bitwise-identical to the AsyncServer's because engine
 outputs depend only on the input sequence — never on batch composition,
@@ -38,12 +36,10 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from repro.gpu.counters import Timeline
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.prometheus import pool_prometheus_text, prometheus_text
 from repro.obs.slo import SloPolicy
-from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.engine import Engine, EngineResult
+from repro.runtime.engine import Engine
 from repro.runtime.shm import SharedWeightStore, segment_exists
 from repro.serving.batcher import Batch
 from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
@@ -81,7 +77,6 @@ class PoolServer(LiveServer):
         max_batch: int = 8,
         max_wait_us: float = 2_000.0,
         max_depth: int = 64,
-        tracer: Tracer = NULL_TRACER,
         max_inflight_per_tenant: int | None = None,
         tenant_quotas: dict[int, int] | None = None,
         payload_table: dict[int, np.ndarray] | None = None,
@@ -97,8 +92,8 @@ class PoolServer(LiveServer):
         if pipeline_depth <= 0:
             raise ValueError(
                 f"pipeline_depth must be positive: {pipeline_depth}")
-        super().__init__(policy, max_batch, max_wait_us, max_depth, tracer,
-                         events, slo)
+        super().__init__(policy, max_batch, max_wait_us, max_depth, events,
+                         slo)
         self.engine = engine  # parent-side: weights, name, cost pricing
         self.n_workers = n_workers
         self.payload_table = payload_table
@@ -318,7 +313,6 @@ class PoolServer(LiveServer):
     # ---- client API -------------------------------------------------------
 
     def submit(self, x: np.ndarray, priority: int = 0,
-               mask: np.ndarray | None = None,
                client: int = 0) -> "Future[Response]":
         """Enqueue one sequence; raises :class:`QueueFullError` when the
         shared queue is at depth and :class:`QuotaExceededError` when the
@@ -339,7 +333,7 @@ class PoolServer(LiveServer):
                                            seq_len=seq_len, tenant=client)
             raise
         try:
-            return super().submit(x, priority, mask, client)
+            return super().submit(x, priority, client)
         except BaseException:
             self._admission.release(client)
             raise
@@ -382,8 +376,6 @@ class PoolServer(LiveServer):
 
     def _dispatch_loop(self) -> None:
         while (batch := self._next_batch()) is not None:
-            with self._work:
-                self._core.batch_formed(batch, self._now_us())
             # Booking may price unseen lengths through the parent engine —
             # never hold the condition across it.
             self._router.assign(batch)  # type: ignore[union-attr]
@@ -416,15 +408,13 @@ class PoolServer(LiveServer):
         """Ship payload-table lengths instead of arrays when possible."""
         payloads: list[object] = []
         for r in batch.requests:
-            if (self.payload_table is not None and r.mask is None
+            if (self.payload_table is not None
                     and r.x is self.payload_table.get(r.seq_len)):
                 payloads.append(r.seq_len)
             else:
                 payloads.append(r.x)
         return BatchTask(
             batch_id=batch.batch_id, payloads=payloads,
-            masks=[r.mask for r in batch.requests],
-            want_trace=self._core.tracer.enabled,
             return_outputs=self.return_outputs)
 
     # ---- collector --------------------------------------------------------
@@ -486,24 +476,11 @@ class PoolServer(LiveServer):
 
     def _resolve_batch(self, rid: int, batch: Batch, start: float,
                        result: BatchResult) -> None:
-        traced: tuple[str, list[EngineResult]] | None = None
-        if self._core.tracer.enabled and result.records is not None:
-            engine_results = []
-            for i, (records, choices) in enumerate(
-                    zip(result.records, result.choices)):
-                tl = Timeline(self.engine.device)
-                tl.records.extend(records)
-                out = result.outputs[i] if result.outputs is not None \
-                    else np.empty(0)
-                engine_results.append(
-                    EngineResult(output=out, timeline=tl, choices=choices))
-            traced = (self.engine.name, engine_results)
         outputs = result.outputs if result.outputs is not None \
             else [None] * batch.size
-        with self._work:  # core and tracer storage are not thread-safe
+        with self._work:  # the core is not thread-safe
             responses = self._core.complete(batch, rid, start,
-                                            result.service_us, outputs,
-                                            traced)
+                                            result.service_us, outputs)
         self._resolve(responses)
 
     def _resolve(self, responses: list[Response]) -> None:
@@ -561,7 +538,6 @@ class PoolServer(LiveServer):
 def build_pool_server(
     spec: LoadgenSpec,
     n_workers: int,
-    tracer: Tracer = NULL_TRACER,
     return_outputs: bool = True,
     max_inflight_per_tenant: int | None = None,
     events: EventLog = NULL_EVENT_LOG,
@@ -585,7 +561,7 @@ def build_pool_server(
     server = PoolServer(
         engine, policy, n_workers=n_workers, max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us, max_depth=spec.max_depth,
-        tracer=tracer, payload_table=payloads, packed=spec.packed,
+        payload_table=payloads, packed=spec.packed,
         return_outputs=return_outputs,
         max_inflight_per_tenant=max_inflight_per_tenant,
         events=events, slo=make_slo_policy(spec, engine, policy),

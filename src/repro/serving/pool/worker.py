@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gpu.counters import KernelRecord
 from repro.runtime.plan import PLAN_CACHE
 from repro.runtime.shm import SharedWeightStore, WeightManifest
 from repro.serving.batcher import Batch
@@ -64,8 +63,6 @@ class BatchTask:
 
     batch_id: int
     payloads: list
-    masks: list
-    want_trace: bool = False
     return_outputs: bool = True
 
 
@@ -77,9 +74,6 @@ class BatchResult:
     batch_id: int
     service_us: float
     outputs: list[np.ndarray] | None
-    choices: list[dict[str, str]]
-    #: Per-request kernel records (only when the task asked for a trace).
-    records: list[list[KernelRecord]] | None
     #: The replica's process-wide plan-cache counters after this batch.
     plan_stats: dict[str, int] = field(default_factory=dict)
     #: Cumulative replica counters after this batch (``busy_us``,
@@ -123,25 +117,21 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
     """Execute one task; always returns a result (errors are reported)."""
     try:
         reqs = [
-            Request(rid=i, x=_resolve_payload(p, payload_table), mask=m)
-            for i, (p, m) in enumerate(zip(task.payloads, task.masks))
+            Request(rid=i, x=_resolve_payload(p, payload_table))
+            for i, p in enumerate(task.payloads)
         ]
         batch = Batch(batch_id=task.batch_id, bucket=-1, requests=reqs)
         results, service_us = worker.process(batch)
     except Exception as exc:  # report, don't kill the replica
         return BatchResult(
             worker_id=worker_id, batch_id=task.batch_id, service_us=0.0,
-            outputs=None, choices=[], records=None,
-            plan_stats=PLAN_CACHE.stats(),
+            outputs=None, plan_stats=PLAN_CACHE.stats(),
             counters=worker_counters(worker),
             error=f"{type(exc).__name__}: {exc}")
     return BatchResult(
         worker_id=worker_id, batch_id=task.batch_id, service_us=service_us,
         outputs=[res.output for res in results] if task.return_outputs
         else None,
-        choices=[dict(res.choices) for res in results],
-        records=[list(res.timeline.records) for res in results]
-        if task.want_trace else None,
         plan_stats=PLAN_CACHE.stats(),
         counters=worker_counters(worker),
     )

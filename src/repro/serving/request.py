@@ -25,14 +25,19 @@ class ResponseStatus(enum.Enum):
 
 @dataclass
 class Request:
-    """One inference request: a single sequence plus scheduling metadata."""
+    """One inference request: a single sequence plus scheduling metadata.
+
+    Serving requests carry no attention mask: every kernel cost then
+    depends on ``seq_len`` alone, which is what lets
+    :func:`repro.obs.trace.build_trace` rebuild a request's kernel tree
+    from the event log.
+    """
 
     rid: int
     x: np.ndarray  # (seq_len, d_model)
     arrival_us: float = 0.0
     priority: int = 0  # higher dispatches first within a bucket
     client: int = 0  # issuing client (closed-loop bookkeeping)
-    mask: np.ndarray | None = None
     deadline_us: float | None = None  # absolute SLO deadline (driver clock)
 
     @property

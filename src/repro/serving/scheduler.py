@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.obs.events import NULL_EVENT_LOG, EventLog
-from repro.obs.trace import NullTracer, Tracer
 from repro.runtime.engine import Engine, EngineResult
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.core import ServingCore
@@ -33,10 +32,10 @@ class EngineWorker:
     With a ``payload_table`` (one shared input array per sequence length,
     as the load generator and the pool's replicas hold) the worker runs
     each table array once and reuses its result afterwards. Only requests
-    whose input *is* the table's array for their length (and carry no
-    mask) hit the memo, so any other input of the same length still runs
-    on the engine — a 200-request sweep becomes O(unique lengths) engine
-    executions without changing a single reported number.
+    whose input *is* the table's array for their length hit the memo, so
+    any other input of the same length still runs on the engine — a
+    200-request sweep becomes O(unique lengths) engine executions without
+    changing a single reported number.
 
     ``packed`` is forwarded to :meth:`Engine.run_batch`: ``None`` (default)
     lets the engine use its packed batch path whenever it has one, and the
@@ -58,8 +57,7 @@ class EngineWorker:
         reqs = batch.requests
         if self.payload_table is None:
             results, agg = self.engine.run_batch(
-                [r.x for r in reqs], [r.mask for r in reqs],
-                packed=self.packed)
+                [r.x for r in reqs], packed=self.packed)
             service_us = agg.total_time_us
         else:
             results = self._memoized(reqs, self.payload_table)
@@ -70,14 +68,14 @@ class EngineWorker:
 
     def _memoized(self, reqs: list[Request],
                   table: dict[int, np.ndarray]) -> list[EngineResult]:
-        hits = [r.mask is None and r.x is table.get(r.seq_len) for r in reqs]
+        hits = [r.x is table.get(r.seq_len) for r in reqs]
         todo = {r.seq_len: r for r, hit in zip(reqs, hits)
                 if hit and r.seq_len not in self._memo}
         if todo:
             results, _ = self.engine.run_batch(
                 [r.x for r in todo.values()], packed=self.packed)
             self._memo.update(zip(todo, results))
-        return [self._memo[r.seq_len] if hit else self.engine.run(r.x, r.mask)
+        return [self._memo[r.seq_len] if hit else self.engine.run(r.x)
                 for r, hit in zip(reqs, hits)]
 
 
@@ -89,7 +87,6 @@ class Scheduler:
     batcher: DynamicBatcher
     max_depth: int = 64
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    tracer: Tracer = field(default_factory=NullTracer)
     events: EventLog = field(default_factory=lambda: NULL_EVENT_LOG)
 
     def __post_init__(self) -> None:
@@ -110,7 +107,7 @@ class Scheduler:
         (with a future ``arrival_us``), which joins the stream.
         """
         core = ServingCore(self.batcher, self.max_depth, self.metrics,
-                           self.tracer, self.events)
+                           self.events)
         queue = core.queue
         pending: list[tuple[float, int, Request]] = [
             (r.arrival_us, r.rid, r) for r in arrivals
@@ -148,10 +145,8 @@ class Scheduler:
                 free_us[w_idx] = now + service_us
                 core.batch_formed(batch, now)
                 core.dispatched(batch, w_idx, now)
-                for resp in core.complete(
-                        batch, w_idx, now, service_us,
-                        [res.output for res in results],
-                        traced=(worker.engine.name, results)):
+                for resp in core.complete(batch, w_idx, now, service_us,
+                                          [res.output for res in results]):
                     settle(resp)
             # Next decision point: an arrival, a worker freeing up, or a
             # pending bucket crossing its batching deadline.

@@ -27,7 +27,6 @@ import numpy as np
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.prometheus import prometheus_text
 from repro.obs.slo import SloPolicy
-from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.engine import Engine
 from repro.runtime.plan import PLAN_CACHE
 from repro.serving.batcher import Batch, DynamicBatcher
@@ -48,14 +47,14 @@ class LiveServer:
     """
 
     def __init__(self, policy: BucketPolicy, max_batch: int,
-                 max_wait_us: float, max_depth: int, tracer: Tracer,
-                 events: EventLog, slo: SloPolicy | None) -> None:
+                 max_wait_us: float, max_depth: int, events: EventLog,
+                 slo: SloPolicy | None) -> None:
         self.policy = policy
         self.slo = slo
         self._core = ServingCore(
             DynamicBatcher(policy, max_batch=max_batch,
                            max_wait_us=max_wait_us),
-            max_depth, MetricsRegistry(), tracer, events)
+            max_depth, MetricsRegistry(), events)
         self._work = threading.Condition()
         self._futures: dict[int, Future] = {}
         self._next_rid = 0
@@ -66,7 +65,7 @@ class LiveServer:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """The core's registry (the tracer and event log are the caller's)."""
+        """The core's registry (the event log is the caller's)."""
         return self._core.metrics
 
     # ---- lifecycle --------------------------------------------------------
@@ -104,7 +103,6 @@ class LiveServer:
         return (time.monotonic() - self._t0) * 1e6  # etlint: disable=ET301 timing boundary
 
     def submit(self, x: np.ndarray, priority: int = 0,
-               mask: np.ndarray | None = None,
                client: int = 0) -> "Future[Response]":
         """Enqueue one sequence; raises :class:`QueueFullError` when full.
 
@@ -125,7 +123,7 @@ class LiveServer:
                         self.slo.deadline_us(seq_len, arrival))
             self._core.admit(Request(
                 rid=rid, x=x, arrival_us=arrival, priority=priority,
-                client=client, mask=mask, deadline_us=deadline))
+                client=client, deadline_us=deadline))
             self._futures[rid] = fut
             self._work.notify()
         return fut
@@ -139,14 +137,22 @@ class LiveServer:
 
     def _next_batch(self) -> Batch | None:
         """Block until the batcher releases a batch; None once stopped
-        and the queue is flushed."""
+        and the queue is flushed.
+
+        ``batch_formed`` is recorded at the pop itself, under the same
+        lock as admissions, so the event log orders every admit exactly
+        against the batches that left the queue before it.
+        """
         with self._work:
             while True:
                 now = self._now_us()
                 batch = self._core.batcher.pop_batch(
                     self._core.queue, now, flush=not self._running)
-                if batch is not None or not self._running:
+                if batch is not None:
+                    self._core.batch_formed(batch, now)
                     return batch
+                if not self._running:
+                    return None
                 deadline = self._core.batcher.next_deadline_us(
                     self._core.queue)
                 self._work.wait(None if deadline is None else
@@ -179,14 +185,13 @@ class AsyncServer(LiveServer):
         max_batch: int = 8,
         max_wait_us: float = 2_000.0,
         max_depth: int = 64,
-        tracer: Tracer = NULL_TRACER,
         events: EventLog = NULL_EVENT_LOG,
         slo: SloPolicy | None = None,
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
-        super().__init__(policy, max_batch, max_wait_us, max_depth, tracer,
-                         events, slo)
+        super().__init__(policy, max_batch, max_wait_us, max_depth, events,
+                         slo)
         self._workers = [EngineWorker(e) for e in engines]
         self._threads: list[threading.Thread] = []
 
@@ -229,10 +234,8 @@ class AsyncServer(LiveServer):
             start = self._now_us()
             results, service_us = worker.process(batch)
             with self._work:
-                self._core.batch_formed(batch, start)
                 self._core.dispatched(batch, w_idx, start)
                 responses = self._core.complete(
                     batch, w_idx, start, service_us,
-                    [res.output for res in results],
-                    traced=(worker.engine.name, results))
+                    [res.output for res in results])
             self._resolve(responses)

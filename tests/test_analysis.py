@@ -518,10 +518,10 @@ SEEDED_RACES = {
     "thread_core_call": (
         "server.py",
         "            with self._work:\n"
-        "                self._core.batch_formed(batch, start)\n",
-        "            self._core.batch_formed(batch, start)\n"
+        "                self._core.dispatched(batch, w_idx, start)\n",
+        "            self._core.dispatched(batch, w_idx, start)\n"
         "            with self._work:\n",
-        "ET402", "self._core.batch_formed"),
+        "ET402", "self._core.dispatched"),
     "thread_write": (
         "server.py",
         "        with self._work:\n            self._threads = threads\n",
@@ -529,10 +529,12 @@ SEEDED_RACES = {
         "ET401", "self._threads"),
     "pool_core_call": (
         "pool/server.py",
-        "            with self._work:\n"
-        "                self._core.batch_formed(batch, self._now_us())\n",
-        "            self._core.batch_formed(batch, self._now_us())\n",
-        "ET402", "self._core.batch_formed"),
+        "        with self._work:  # the core is not thread-safe\n"
+        "            responses = self._core.complete(batch, rid, start,\n"
+        "                                            result.service_us, outputs)\n",
+        "        responses = self._core.complete(batch, rid, start,\n"
+        "                                        result.service_us, outputs)\n",
+        "ET402", "self._core.complete"),
     "pool_write": (
         "pool/server.py",
         "        with self._work:\n"

@@ -3,8 +3,8 @@
 Covers the analysis substrate (symbol table, call graph, summaries), the
 three new deep passes (ET6xx deadlock, ET5xx shm lifecycle, ET7xx event
 protocol), the interprocedural upgrades of ET1xx/ET2xx, and the v2
-satellites: ET001 unused-suppression warnings, SARIF output, the
-content-addressed findings cache, and the ``--selftest`` harness. Each
+satellites: ET001 unused-suppression warnings, SARIF output and the
+``--selftest`` harness. Each
 new rule gets a positive fixture (a seeded violation the pass must
 catch) and a negative fixture (compliant code it must not flag).
 """
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.analysis import RULES, run_analysis
 from repro.analysis.__main__ import main as etlint_main
-from repro.analysis.cache import FindingsCache
 from repro.analysis.findings import Severity
 from repro.analysis.sarif import sarif_document, validate_minimal
 from repro.analysis.selftest import run_selftest
@@ -541,9 +540,8 @@ def test_strict_suppressions_cli_exit(tmp_path, monkeypatch, capsys):
         "def f():\n    return 1  # etlint: disable=ET301 stale\n",
         encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert etlint_main(["mod.py", "--no-cache"]) == 0  # warning only
-    assert etlint_main(["mod.py", "--no-cache",
-                        "--strict-suppressions"]) == 1
+    assert etlint_main(["mod.py"]) == 0  # warning only
+    assert etlint_main(["mod.py", "--strict-suppressions"]) == 1
     out = capsys.readouterr().out
     assert "ET001" in out
 
@@ -579,73 +577,10 @@ def test_sarif_document_is_structurally_valid(tmp_path):
 def test_sarif_cli_output_parses(tmp_path, monkeypatch, capsys):
     (tmp_path / "mod.py").write_text("X = 1\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert etlint_main(["mod.py", "--format=sarif", "--no-cache"]) == 0
+    assert etlint_main(["mod.py", "--format=sarif"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert validate_minimal(doc) == []
     assert doc["runs"][0]["results"] == []
-
-
-# ---- findings cache --------------------------------------------------------
-
-
-def test_cache_hit_and_invalidation(tmp_path):
-    src_dir = tmp_path / "proj"
-    src_dir.mkdir()
-    (src_dir / "mod.py").write_text(textwrap.dedent("""
-        from multiprocessing import shared_memory
-
-
-        def leak(name, flag):
-            seg = shared_memory.SharedMemory(name=name)
-            if flag:
-                return 0
-            seg.close()
-            return 1
-    """), encoding="utf-8")
-    (src_dir / "other.py").write_text("X = 1\n", encoding="utf-8")
-
-    cache = FindingsCache(tmp_path)
-    first = run_analysis([src_dir], root=tmp_path, cache=cache)
-    assert first.from_cache == 0
-    assert (tmp_path / ".etlint-cache").is_dir()
-
-    second = run_analysis([src_dir], root=tmp_path,
-                          cache=FindingsCache(tmp_path))
-    assert second.from_cache == 2
-    assert [f.format_text() for f in second.findings] == \
-        [f.format_text() for f in first.findings]
-
-    # Editing ANY file invalidates every entry: the passes are
-    # interprocedural, so unchanged files can change findings too.
-    (src_dir / "other.py").write_text("X = 2\n", encoding="utf-8")
-    third = run_analysis([src_dir], root=tmp_path,
-                         cache=FindingsCache(tmp_path))
-    assert third.from_cache == 0
-    assert [f.format_text() for f in third.findings] == \
-        [f.format_text() for f in first.findings]
-
-
-def test_cache_preserves_findings_fidelity(tmp_path):
-    src_dir = tmp_path / "proj"
-    src_dir.mkdir()
-    (src_dir / "mod.py").write_text(textwrap.dedent("""
-        from multiprocessing import shared_memory
-
-
-        def peek(name):
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()
-            return seg.buf[0]
-    """), encoding="utf-8")
-    fresh = run_analysis([src_dir], root=tmp_path,
-                         cache=FindingsCache(tmp_path))
-    cached = run_analysis([src_dir], root=tmp_path,
-                          cache=FindingsCache(tmp_path))
-    assert cached.from_cache == 1
-    assert [(f.rule_id, f.path, f.line, f.col, f.message, f.severity)
-            for f in cached.findings] == \
-        [(f.rule_id, f.path, f.line, f.col, f.message, f.severity)
-         for f in fresh.findings]
 
 
 # ---- selftest --------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Observability: span tracer, Chrome/Prometheus exports, windowed metrics.
+"""Observability: derived traces, Chrome/Prometheus exports, windowed metrics.
 
-Also covers the previously untested Timeline paths the tracer is built on
+Also covers the previously untested Timeline paths the trace is built on
 (``time_by_region``, ``roofline_report``, nested regions under
 ``run_batch``) and the MetricsRegistry schema/terminal-time fixes.
 """
@@ -16,27 +16,26 @@ from repro.gpu import KernelCost
 from repro.obs import (
     GATED_METRICS,
     NULL_EVENT_LOG,
-    NULL_TRACER,
     Event,
     EventLog,
-    NullTracer,
     SloPolicy,
     SloTracker,
     Span,
-    Tracer,
     WindowedMetrics,
     attribute,
+    build_trace,
     check_regressions,
     chrome_trace,
     chrome_trace_json,
     engine_spans,
     prometheus_text,
+    read_events,
     render_span_tree,
     report_json,
     write_events,
 )
 from repro.obs.history import append_history, load_history
-from repro.runtime import EncoderWeights, TensorRTLikeEngine
+from repro.runtime import PLAN_CACHE, EncoderWeights, TensorRTLikeEngine
 from repro.serving import (
     AsyncServer,
     LoadgenSpec,
@@ -69,8 +68,16 @@ def _small_spec(**kw):
     return LoadgenSpec(**base)
 
 
+def _traced(**kw):
+    """A recorded loadgen run and the trace derived from its event log."""
+    events = EventLog()
+    res = run_loadgen(_small_spec(**kw), events=events)
+    roots, counters = build_trace(events, res.engine)
+    return res, roots, counters
+
+
 # ---------------------------------------------------------------------------
-# Timeline coverage the tracer depends on (ISSUE 2 satellite)
+# Timeline coverage the trace depends on (ISSUE 2 satellite)
 # ---------------------------------------------------------------------------
 
 
@@ -200,15 +207,14 @@ class TestWindowedMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Tracer and span tree
+# Trace derived from the event log, and the span tree
 # ---------------------------------------------------------------------------
 
 
 class TestTracer:
     def test_loadgen_builds_full_span_chain(self):
-        tracer = Tracer()
-        res = run_loadgen(_small_spec(), tracer=tracer)
-        reqs = [s for s in tracer.roots if s.kind == "request"]
+        res, roots, counters = _traced()
+        reqs = [s for s in roots if s.kind == "request"]
         assert len(reqs) == res.metrics.completed + res.metrics.rejected
         served = [s for s in reqs if s.attrs["status"] == "ok"]
         for sp in served:
@@ -219,15 +225,14 @@ class TestTracer:
             for kern in (d for d in sp.walk() if d.kind == "kernel"):
                 assert {"gld_transactions", "gst_transactions",
                         "sm_efficiency", "achieved_gbs"} <= set(kern.attrs)
-        batches = [s for s in tracer.roots if s.kind == "batch"]
+        batches = [s for s in roots if s.kind == "batch"]
         batch_ids = {b.attrs["batch_id"] for b in batches}
         assert all(s.attrs["batch_id"] in batch_ids for s in served)
-        assert "queue_depth" in tracer.counters
+        assert "queue_depth" in counters
 
     def test_request_span_attrs_carry_regime_and_bucket(self):
-        tracer = Tracer()
-        run_loadgen(_small_spec(), tracer=tracer)
-        sp = next(s for s in tracer.roots
+        _, roots, _ = _traced()
+        sp = next(s for s in roots
                   if s.kind == "request" and s.attrs["status"] == "ok")
         assert sp.attrs["engine"] == "et"
         assert sp.attrs["otf_regime"] in ("otf", "partial_otf",
@@ -235,12 +240,10 @@ class TestTracer:
         assert sp.attrs["bucket"] >= 0 and sp.attrs["seq_len"] > 0
 
     def test_rejections_become_rejected_spans(self):
-        tracer = Tracer()
-        res = run_loadgen(_small_spec(rate_per_s=200_000.0, num_requests=40,
-                                      max_depth=4, workers=1, max_batch=2),
-                          tracer=tracer)
+        res, roots, _ = _traced(rate_per_s=200_000.0, num_requests=40,
+                                max_depth=4, workers=1, max_batch=2)
         assert res.metrics.rejected > 0
-        rej = [s for s in tracer.roots
+        rej = [s for s in roots
                if s.kind == "request" and s.attrs["status"] == "rejected"]
         assert len(rej) == res.metrics.rejected
         assert all(not s.children for s in rej)
@@ -260,21 +263,41 @@ class TestTracer:
         layers = [s for s in root.walk() if s.kind == "layer"]
         assert [s.name for s in layers] == ["layer0", "layer1"]
 
-    def test_null_tracer_records_nothing(self):
-        t = NullTracer()
-        sp = t.span("x", "request", 0.0, 1.0)
-        sp.child("y", "phase", 0.0, 1.0)
-        t.counter("queue_depth", 0.0, 1.0)
-        assert t.spans_of_kind("request") == []
-        assert not t.enabled and not NULL_TRACER.enabled
-
     def test_render_span_tree_mentions_counters(self):
-        tracer = Tracer()
-        run_loadgen(_small_spec(num_requests=5), tracer=tracer)
-        sp = next(s for s in tracer.roots if s.attrs.get("status") == "ok")
+        _, roots, _ = _traced(num_requests=5)
+        sp = next(s for s in roots if s.attrs.get("status") == "ok")
         text = render_span_tree(sp)
         assert "queue_wait" in text and "service" in text
         assert "gld=" in text and "GB/s" in text
+
+    def test_closed_loop_queue_depth_counts_each_admit(self):
+        """Four clients arrive together at t=0. The canonical event order
+        puts all four admits before any enqueue, yet the samples read
+        0, 1, 2, 3: an admitted request counts from its own admit."""
+        res, _, counters = _traced(mode="closed", clients=4,
+                                   num_requests=20)
+        depth = counters["queue_depth"]
+        assert depth[:4] == [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 3.0)]
+        assert len(depth) == 20
+        assert max(v for _, v in depth) == res.metrics.max_queue_depth
+
+    def test_trace_from_file_equals_in_memory(self, tmp_path):
+        events = EventLog()
+        res = run_loadgen(_small_spec(mode="closed", clients=4, slo_us=0.0),
+                          events=events)
+        path = tmp_path / "events.jsonl"
+        write_events(str(path), events)
+        from_file = build_trace(read_events(str(path)), res.engine)
+        assert chrome_trace_json(*from_file) == \
+            chrome_trace_json(*build_trace(events, res.engine))
+
+    def test_build_trace_leaves_plan_cache_counters(self):
+        events = EventLog()
+        res = run_loadgen(_small_spec(), events=events)
+        before = PLAN_CACHE.stats()
+        roots, _ = build_trace(events, res.engine)
+        assert any(s.kind == "batch" for s in roots)
+        assert PLAN_CACHE.stats() == before
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +307,16 @@ class TestTracer:
 
 class TestExports:
     def test_same_seed_byte_identical_trace(self):
-        t1, t2 = Tracer(), Tracer()
-        run_loadgen(_small_spec(), tracer=t1)
-        run_loadgen(_small_spec(), tracer=t2)
-        assert chrome_trace_json(t1) == chrome_trace_json(t2)
+        _, roots1, counters1 = _traced()
+        _, roots2, counters2 = _traced()
+        assert chrome_trace_json(roots1, counters1) == \
+            chrome_trace_json(roots2, counters2)
 
     def test_tracing_is_free_on_the_cost_model(self):
-        """NullTracer vs live Tracer: identical report — ≤2% is trivially met,
-        the modeled overhead is exactly zero."""
+        """Null recorder vs recorded and traced run: identical report — ≤2%
+        is trivially met, the modeled overhead is exactly zero."""
         base = run_loadgen(_small_spec())
-        traced = run_loadgen(_small_spec(), tracer=Tracer())
+        traced, _, _ = _traced()
         assert base.report == traced.report
         assert base.metrics.snapshot() == traced.metrics.snapshot()
         b, t = base.metrics.snapshot(), traced.metrics.snapshot()
@@ -301,11 +324,10 @@ class TestExports:
 
     def test_chrome_trace_passes_checker(self, tmp_path):
         checker = _load_checker()
-        tracer = Tracer()
-        res = run_loadgen(_small_spec(), tracer=tracer)
+        res, roots, counters = _traced()
         trace_path = tmp_path / "trace.json"
         prom_path = tmp_path / "metrics.prom"
-        trace_path.write_text(chrome_trace_json(tracer) + "\n")
+        trace_path.write_text(chrome_trace_json(roots, counters) + "\n")
         prom_path.write_text(prometheus_text(res.metrics))
         errors: list[str] = []
         checker.check_trace(str(trace_path), errors)
@@ -327,9 +349,8 @@ class TestExports:
         assert any("bad sample" in e or "missing" in e for e in errors)
 
     def test_chrome_counter_tracks_present(self):
-        tracer = Tracer()
-        run_loadgen(_small_spec(), tracer=tracer)
-        doc = chrome_trace(tracer)
+        _, roots, counters = _traced()
+        doc = chrome_trace(roots, counters)
         counters = {e["name"] for e in doc["traceEvents"] if e["ph"] == "C"}
         assert {"queue_depth", "achieved_gbs"} <= counters
 
@@ -358,16 +379,17 @@ class TestServerAndCLI:
                            num_heads=4, max_seq_len=64)
         engines = [TensorRTLikeEngine(EncoderWeights.random(cfg, rng))]
         pol = make_policy("single", crossover=224, max_seq_len=64)
-        tracer = Tracer()
+        events = EventLog()
         with AsyncServer(engines, pol, max_batch=4, max_wait_us=500.0,
-                         tracer=tracer) as server:
+                         events=events) as server:
             futs = [server.submit(rng.standard_normal((16, cfg.d_model)))
                     for _ in range(3)]
             for f in futs:
                 assert f.result(timeout=30.0).ok
             text = server.metrics_text()
         assert "repro_requests_completed_total 3" in text
-        served = [s for s in tracer.roots if s.kind == "request"]
+        roots, _ = build_trace(events, engines[0])
+        served = [s for s in roots if s.kind == "request"]
         assert len(served) == 3
         assert all(any(d.kind == "kernel" for d in s.walk()) for s in served)
 
@@ -393,6 +415,52 @@ class TestServerAndCLI:
         assert any(e.get("cat") == "kernel" for e in doc["traceEvents"])
         assert "repro_throughput_seq_s" in prom.read_text()
         assert "trace written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("backend", [[], ["--workers", "1"]],
+                             ids=["threads", "pool"])
+    def test_serve_cli_derived_trace_passes_checker(self, backend, tmp_path,
+                                                   capsys):
+        from repro.cli import main
+
+        paths = [str(tmp_path / n)
+                 for n in ("trace.json", "metrics.prom", "events.jsonl")]
+        rc = main(["serve", "--model", "small", "--requests", "24",
+                   "--max-len", "64", "--seq-step", "16", "--slo-us", "0",
+                   "--trace-out", paths[0], "--metrics-out", paths[1],
+                   "--events-out", paths[2], *backend])
+        assert rc == 0
+        capsys.readouterr()
+        checker = _load_checker()
+        errors: list[str] = []
+        checker.check_trace(paths[0], errors)
+        checker.check_metrics(paths[1], errors)
+        checker.check_events(paths[2], errors)
+        assert errors == []
+        doc = json.loads(pathlib.Path(paths[0]).read_text())
+        served = [e for e in doc["traceEvents"] if e.get("cat") == "request"
+                  and e["args"]["status"] == "ok"]
+        assert sorted(e["args"]["rid"] for e in served) == list(range(24))
+
+    def test_cli_trace_out_without_events_out(self, tmp_path, capsys):
+        """``--trace-out`` records an event log to derive the trace from,
+        but writes no events file unless ``--events-out`` asks for one."""
+        from repro.cli import main
+
+        checker = _load_checker()
+        trace = tmp_path / "t.json"
+        prom = tmp_path / "m.prom"
+        rc = main(["loadgen", "--model", "small", "--requests", "30",
+                   "--mode", "closed", "--clients", "4", "--max-len", "64",
+                   "--seq-step", "16", "--slo-us", "0",
+                   "--trace-out", str(trace), "--metrics-out", str(prom)])
+        assert rc == 0
+        errors: list[str] = []
+        checker.check_trace(str(trace), errors)
+        checker.check_metrics(str(prom), errors)
+        assert errors == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["m.prom", "t.json"]
+        assert "events written" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
