@@ -13,6 +13,8 @@ scratch numerics passes the original two-way dispatch paid per call.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.ops.context import ExecContext
@@ -28,8 +30,9 @@ PAPER_THRESHOLD = 224
 def _estimate_us(ctx: ExecContext, impl, q, k, v, mask, **kwargs) -> float:
     """Run ``impl`` on a forked (scratch) context and return its model time.
 
-    Retained for the legacy crossover probes below; the dispatch itself no
-    longer pays these throwaway numerics runs.
+    The numerics oracle: tests hold the cost-only estimates behind
+    :func:`otf_crossover_seqlen` and the autotuner to what a real run of
+    the variant launches. Nothing on the engine or serving path calls it.
     """
     scratch = ctx.fork()
     impl(scratch, q, k, v, mask, **kwargs)
@@ -105,6 +108,24 @@ def packed_select_attention(
     return impl(q, k, v, mask)
 
 
+def _modeled_us(ctx: ExecContext, num_heads: int, d_k: int,
+                seq_lens: range, with_mask: bool
+                ) -> Iterator[tuple[int, dict[str, float]]]:
+    """Yield ``(s, {algo: modeled us})`` for each probed length.
+
+    Priced for ``ctx``'s device and dtype with the candidates' cost-only
+    estimators — no numerics run.
+    """
+    from repro.runtime.autotune import (ATTENTION_ALGOS, AttentionKey,
+                                        estimate_attention_us)
+
+    for s in seq_lens:
+        key = AttentionKey(ctx.device.name, num_heads, s, d_k, d_k,
+                           with_mask, ctx.bytes_per_elem, ctx.tensor_core)
+        yield s, {algo: estimate_attention_us(key, algo)
+                  for algo in ATTENTION_ALGOS}
+
+
 def otf_crossover_seqlen(
     ctx: ExecContext,
     num_heads: int,
@@ -114,21 +135,16 @@ def otf_crossover_seqlen(
 ) -> int | None:
     """First sequence length at which partial OTF beats full OTF.
 
-    The paper's original two-way probe (flash excluded), used by the Fig. 8
-    bench to verify the crossover lands near 224 for the BERT_BASE head
-    geometry.
+    The paper's original two-way comparison (flash excluded), used by the
+    Fig. 8 bench to verify the crossover lands near 224 for the BERT_BASE
+    head geometry and by :func:`repro.serving.bucketing.model_crossover`
+    to align bucket edges. Both sides are priced with their cost-only
+    estimators, so the sweep runs no attention numerics; the tests check
+    it against :func:`_estimate_us` at every probed length.
     """
-    rng = np.random.default_rng(0)
-    for s in seq_lens:
-        q = rng.standard_normal((num_heads, s, d_k)).astype(np.float32)
-        k = rng.standard_normal((num_heads, s, d_k)).astype(np.float32)
-        v = rng.standard_normal((num_heads, s, d_k)).astype(np.float32)
-        mask = np.zeros((s, s), dtype=np.float32) if with_mask else None
-        t_full = _estimate_us(ctx, otf_attention, q, k, v, mask)
-        t_partial = _estimate_us(ctx, partial_otf_attention, q, k, v, mask)
-        if t_partial < t_full:
-            return s
-    return None
+    return next((s for s, t in _modeled_us(ctx, num_heads, d_k, seq_lens,
+                                           with_mask)
+                 if t["partial_otf"] < t["otf"]), None)
 
 
 def flash_crossover_seqlen(
@@ -144,13 +160,6 @@ def flash_crossover_seqlen(
     point the adaptive dispatch picks flash (perf-smoke gates on it for
     the V100S).
     """
-    from repro.runtime.autotune import AttentionKey, estimate_attention_us
-
-    for s in seq_lens:
-        key = AttentionKey(ctx.device.name, num_heads, s, d_k, d_k,
-                           with_mask, ctx.bytes_per_elem, ctx.tensor_core)
-        t_flash = estimate_attention_us(key, "flash")
-        if (t_flash < estimate_attention_us(key, "otf")
-                and t_flash < estimate_attention_us(key, "partial_otf")):
-            return s
-    return None
+    return next((s for s, t in _modeled_us(ctx, num_heads, d_k, seq_lens,
+                                           with_mask)
+                 if t["flash"] < min(t["otf"], t["partial_otf"])), None)

@@ -308,18 +308,24 @@ def cmd_table1(args) -> str:
 
 
 def _loadgen_spec(args):
+    """The serving flags as a :class:`LoadgenSpec`; an invalid combination
+    raises ``argparse.ArgumentError``, which :func:`main` reports as a
+    usage error."""
     from repro.serving import LoadgenSpec
 
-    return LoadgenSpec(
-        engine=args.engine, model=args.model, rate_per_s=args.rate,
-        num_requests=args.requests, seed=args.seed, mode=args.mode,
-        clients=args.clients, num_layers=args.layers,
-        sparsity=args.sparsity, max_seq_len=args.max_len,
-        seq_step=args.seq_step, policy=args.policy,
-        workers=args.serve_workers, max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us, max_depth=args.max_depth,
-        slo_us=args.slo_us, slo_scale=args.slo_scale,
-    )
+    try:
+        return LoadgenSpec(
+            engine=args.engine, model=args.model, rate_per_s=args.rate,
+            num_requests=args.requests, seed=args.seed, mode=args.mode,
+            clients=args.clients, num_layers=args.layers,
+            sparsity=args.sparsity, max_seq_len=args.max_len,
+            seq_step=args.seq_step, policy=args.policy,
+            workers=args.serve_workers, max_batch=args.max_batch,
+            max_wait_us=args.max_wait_us, max_depth=args.max_depth,
+            slo_us=args.slo_us, slo_scale=args.slo_scale,
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
 
 
 def _make_events(args):
@@ -867,13 +873,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
         print("experiments:", ", ".join(ALL_CMDS), "+ 'all'")
         print("serving:", ", ".join(SERVING_CMDS))
         return 0
     fn = cmd_all if args.experiment == "all" else globals()[f"cmd_{args.experiment}"]
-    out = fn(args)
+    try:
+        out = fn(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))  # exits 2, like any other usage error
     if isinstance(out, tuple):  # (text, exit_code): tracediff --fail-on-diff
         print(out[0])
         return out[1]

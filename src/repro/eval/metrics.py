@@ -5,7 +5,6 @@ correlation for STS-B."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def accuracy(pred: np.ndarray, target: np.ndarray) -> float:
@@ -37,6 +36,10 @@ def spearman(pred: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if np.std(pred) == 0 or np.std(target) == 0:
         return 0.0
+    # Local: importing scipy.stats costs ~1 s, and the serving stack
+    # reaches this module for ``percentile`` alone.
+    from scipy import stats
+
     rho = stats.spearmanr(pred, target).statistic
     return float(rho) if np.isfinite(rho) else 0.0
 

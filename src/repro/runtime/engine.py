@@ -29,12 +29,14 @@ from repro.gpu.counters import Timeline
 from repro.gpu.device import DeviceSpec, default_device
 from repro.ops.context import ExecContext
 from repro.runtime.plan import (
+    PLAN_CACHE,
     LayerPlan,
     PackedLayer,
+    capture_plan,
     engine_fingerprint,
-    get_plan,
     mask_fingerprint,
     pack_layer_weights,
+    plan_key,
     replay_records,
 )
 from repro.runtime.weights import EncoderWeights
@@ -241,7 +243,9 @@ class Engine:
         over batch *and* heads. Per-request timelines replay the group's
         compiled :class:`~repro.runtime.plan.LayerPlan` template, so
         outputs, latencies and traces are byte-identical to
-        ``run_batch(..., packed=False)``.
+        ``run_batch(..., packed=False)``. A group whose plan is not cached
+        runs its first member serially and freezes that run as the plan;
+        the rest of the group then runs packed.
         """
         coerced, mask_list = self._coerce_batch(xs, masks)
         return self._run_packed_prepared(coerced, mask_list)
@@ -264,7 +268,18 @@ class Engine:
                 for i in members:
                     results[i] = self._run_prepared(xs[i], masks[i])
                 continue
-            plan = get_plan(self, seq_len, mask_shape)
+            key = plan_key(self, seq_len, mask_shape)
+            plan = PLAN_CACHE.lookup(key)
+            if plan is None:
+                # The first member's own serial run is the template: its
+                # records are what any input of this shape launches.
+                first, *members = members
+                ref = self._run_prepared(xs[first], masks[first])
+                results[first] = ref
+                plan = capture_plan(self, key, ref)
+                PLAN_CACHE.insert(key, plan)
+                if not members:
+                    continue
             xb = np.stack([xs[i] for i in members])
             mask_b = None
             if mask_shape is not None:

@@ -2,13 +2,21 @@
 
 Every :class:`~repro.gpu.kernel.KernelCost` in this simulator is a pure
 function of shapes and mask *presence* — no kernel cost reads activation
-values. A :class:`LayerPlan` exploits that: it captures one serial reference
-run's entire :class:`~repro.gpu.counters.KernelRecord` stream (for a given
+values. A :class:`LayerPlan` exploits that: it captures one serial run's
+entire :class:`~repro.gpu.counters.KernelRecord` stream (for a given
 engine, bucket sequence length and mask shape) as a frozen template. The
 packed batch path then replays the template per request — record objects
 are immutable and shared — so per-request latencies, ``time_by_region``
 provenance and Chrome traces are byte-identical to the per-sequence path
 *by construction*, while the numerics run once, batched over ``(B, s, d)``.
+
+The serial run a plan freezes is, on the serving path, the first real
+member of the batch group that missed the cache
+(:meth:`~repro.runtime.engine.Engine.run_packed`): its output is that
+member's answer, so capturing a plan costs no extra forward pass. Callers
+that hold no input (:func:`repro.obs.trace.build_trace`, tests) compile
+through :func:`compile_plan`'s all-zeros probe instead; both go through
+:func:`capture_plan`.
 
 Plans also reference the engine's pre-packed weight stacks
 (:class:`PackedLayer`): head-major ``(H, d_model, d_k)`` projection stacks,
@@ -38,7 +46,7 @@ import numpy as np
 from repro.gpu.counters import KernelRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.runtime.engine import Engine
+    from repro.runtime.engine import Engine, EngineResult
     from repro.runtime.weights import EncoderWeights, LayerWeights
 
 #: Default LRU capacity: a serving deployment sees one plan per
@@ -267,19 +275,21 @@ class PlanCache:
 PLAN_CACHE = PlanCache()
 
 
-def compile_plan(engine: "Engine", key: PlanKey) -> LayerPlan:
-    """Capture one serial reference run as a frozen replay template.
+def plan_key(engine: "Engine", seq_len: int,
+             mask_shape: tuple[int, ...] | None) -> PlanKey:
+    """The cache key of ``engine``'s plan for one bucket shape."""
+    return PlanKey(fingerprint=engine.plan_fingerprint(),
+                   seq_len=int(seq_len), mask_shape=mask_shape)
 
-    The probe input is all-zeros: activation values influence no kernel
-    cost, so a zeros run records exactly the stream any real input of the
-    same shape would. The captured records, choices and total latency are
-    what the packed path replays per request.
+
+def capture_plan(engine: "Engine", key: PlanKey,
+                 ref: "EngineResult") -> LayerPlan:
+    """Freeze one serial run of ``key``'s shape as a replay template.
+
+    ``ref`` is the :class:`~repro.runtime.engine.EngineResult` of that run;
+    its records, choices and total latency are what the packed path
+    replays per request.
     """
-    d_model = engine.weights.config.d_model
-    x = np.zeros((key.seq_len, d_model), dtype=np.float64)
-    mask = (None if key.mask_shape is None
-            else np.zeros(key.mask_shape, dtype=np.float64))
-    ref = engine._run_prepared(x, mask)
     return LayerPlan(
         key=key,
         records=tuple(ref.timeline.records),
@@ -289,14 +299,28 @@ def compile_plan(engine: "Engine", key: PlanKey) -> LayerPlan:
     )
 
 
+def compile_plan(engine: "Engine", key: PlanKey) -> LayerPlan:
+    """Capture an all-zeros serial run, for callers that have no input.
+
+    Activation values influence no kernel cost, so a zeros run records
+    exactly the stream any real input of the same shape would. The packed
+    path does not use this probe: it captures its plan from the first
+    member of the group that missed (see the module docstring).
+    """
+    d_model = engine.weights.config.d_model
+    x = np.zeros((key.seq_len, d_model), dtype=np.float64)
+    mask = (None if key.mask_shape is None
+            else np.zeros(key.mask_shape, dtype=np.float64))
+    return capture_plan(engine, key, engine._run_prepared(x, mask))
+
+
 def get_plan(engine: "Engine", seq_len: int,
              mask_shape: tuple[int, ...] | None,
              cache: PlanCache | None = None) -> LayerPlan:
-    """Fetch (or compile and cache) the plan for one bucket shape."""
+    """Fetch (or compile with the zeros probe and cache) one bucket's plan."""
     if cache is None:  # empty caches are falsy — test identity, not truth
         cache = PLAN_CACHE
-    key = PlanKey(fingerprint=engine.plan_fingerprint(),
-                  seq_len=int(seq_len), mask_shape=mask_shape)
+    key = plan_key(engine, seq_len, mask_shape)
     plan = cache.lookup(key)
     if plan is None:
         plan = compile_plan(engine, key)

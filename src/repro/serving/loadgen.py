@@ -96,6 +96,16 @@ class LoadgenSpec:
     #: Head-room multiple for the per-bucket default budgets.
     slo_scale: float = 4.0
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("open", "closed"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.num_requests < 1:
+            raise ValueError(f"requests must be >= 1: {self.num_requests}")
+        if self.mode == "open" and not self.rate_per_s > 0:
+            raise ValueError(f"rate must be positive: {self.rate_per_s}")
+        if self.mode == "closed" and self.clients < 1:
+            raise ValueError(f"clients must be >= 1: {self.clients}")
+
     def model_config(self) -> ModelConfig:
         if self.model == "small":
             return small_config(name="serve-small", max_seq_len=64)
@@ -155,8 +165,6 @@ def open_loop_arrivals(spec: LoadgenSpec,
                        payloads: dict[int, np.ndarray],
                        slo: SloPolicy | None = None) -> list[Request]:
     """Poisson arrivals: seeded exponential gaps at ``rate_per_s``."""
-    if spec.rate_per_s <= 0:
-        raise ValueError(f"rate must be positive: {spec.rate_per_s}")
     rng = np.random.default_rng(spec.seed + 1)  # decoupled from payload draw
     lens = list(payloads)
     gaps_us = rng.exponential(1e6 / spec.rate_per_s, size=spec.num_requests)
@@ -195,7 +203,7 @@ def closed_loop_driver(spec: LoadgenSpec, payloads: dict[int, np.ndarray],
     is split round-robin across clients.
     """
     mix = request_mix(spec, payloads)
-    n_clients = max(1, min(spec.clients, spec.num_requests))
+    n_clients = min(spec.clients, spec.num_requests)
     issued = [0] * n_clients  # per-client requests issued so far
     budget = [spec.num_requests // n_clients] * n_clients
     for c in range(spec.num_requests % n_clients):
@@ -288,10 +296,8 @@ def run_loadgen(spec: LoadgenSpec,
     if spec.mode == "closed":
         initial, follow_up = closed_loop_driver(spec, payloads, slo=slo)
         responses = sched.run(initial, next_request=follow_up)
-    elif spec.mode == "open":
-        responses = sched.run(open_loop_arrivals(spec, payloads, slo=slo))
     else:
-        raise ValueError(f"unknown mode {spec.mode!r}")
+        responses = sched.run(open_loop_arrivals(spec, payloads, slo=slo))
 
     sched.metrics.observe_plan_cache(PLAN_CACHE.stats(), source="scheduler")
     result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,

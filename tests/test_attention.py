@@ -26,7 +26,8 @@ from repro.attention.precompute import condense_folded, precomputed_context
 from repro.config import BERT_BASE, BERT_LARGE
 from repro.gpu import Timeline, V100S
 from repro.ops import causal_mask
-from repro.ops.context import fp16_ctx
+from repro.ops.context import fp16_ctx, fp32_ctx
+from repro.runtime.autotune import AttentionKey, estimate_attention_us
 
 
 @pytest.fixture
@@ -220,6 +221,40 @@ class TestAdaptive:
             tl_b = Timeline()
             select_attention(fp16_ctx(tl_b), q, k, v, mask)
             assert tl_b.total_time_us < tl_f.total_time_us, f"seqLen {s}"
+
+
+class TestCrossoverOracle:
+    """The cost-only crossover sweep prices each variant exactly as running
+    its numerics and reading the timeline does."""
+
+    SEQ_LENS = range(32, 321, 32)
+
+    @pytest.mark.parametrize("make_ctx", [fp16_ctx, fp32_ctx],
+                             ids=["fp16", "fp32"])
+    @pytest.mark.parametrize("with_mask", [False, True],
+                             ids=["nomask", "mask"])
+    @pytest.mark.parametrize("h,dk", [(12, 64), (4, 16), (4, 200), (16, 128)])
+    def test_cost_only_sweep_equals_numerics(self, make_ctx, with_mask, h,
+                                             dk):
+        ctx = make_ctx(Timeline())
+        first = None
+        for s in self.SEQ_LENS:
+            rng = np.random.default_rng(s)
+            q, k, v = (rng.standard_normal((h, s, dk)).astype(np.float32)
+                       for _ in range(3))
+            mask = np.zeros((s, s), dtype=np.float32) if with_mask else None
+            numerics = {
+                algo: _estimate_us(ctx, impl, q, k, v, mask)
+                for algo, impl in (("otf", otf_attention),
+                                   ("partial_otf", partial_otf_attention))}
+            key = AttentionKey(ctx.device.name, h, s, dk, dk, with_mask,
+                               ctx.bytes_per_elem, ctx.tensor_core)
+            assert numerics == {algo: estimate_attention_us(key, algo)
+                                for algo in numerics}, f"seqLen {s}"
+            if first is None and numerics["partial_otf"] < numerics["otf"]:
+                first = s
+        assert otf_crossover_seqlen(ctx, h, dk, self.SEQ_LENS,
+                                    with_mask) == first
 
 
 class TestPrecompute:

@@ -22,9 +22,11 @@ from repro.runtime import (
     PlanCache,
     PyTorchLikeEngine,
     TensorRTLikeEngine,
+    compile_plan,
     get_plan,
     mask_fingerprint,
 )
+from repro.runtime.plan import plan_key
 
 CFG = small_config(name="packed-t", num_layers=2, d_model=64, num_heads=4,
                    max_seq_len=64)
@@ -236,6 +238,71 @@ class TestPlanCache:
         after = PLAN_CACHE.stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] > before["hits"]
+
+
+def _observed(results, agg):
+    """Everything a caller sees of one ``run_batch`` call, as plain values."""
+    return ([r.output.tobytes() for r in results],
+            [r.choices for r in results],
+            [[(k.name, k.region, k.time_us) for k in r.timeline.records]
+             for r in results],
+            [(k.name, k.region, k.time_us) for k in agg.records])
+
+
+class TestFirstBatchPlan:
+    """A plan miss captures the plan from the group's first member's own
+    serial run instead of a separate zeros probe."""
+
+    @pytest.mark.parametrize("lens,masked", [
+        ([40, 40], ()), ([40, 40, 40], ()), ([40, 40], (0, 1)),
+    ], ids=["two", "three", "masked"])
+    def test_miss_batch_equals_serial(self, engine, lens, masked):
+        PLAN_CACHE.clear()
+        xs, masks = _batch(np.random.default_rng(len(lens)), lens, masked)
+        packed = engine.run_batch(xs, masks, packed=True)
+        assert PLAN_CACHE.stats()["misses"] == 1
+        serial = engine.run_batch(xs, masks, packed=False)
+        assert _observed(*packed) == _observed(*serial)
+
+    def test_captured_plan_equals_zeros_probe(self, engine):
+        PLAN_CACHE.clear()
+        xs, masks = _batch(np.random.default_rng(11), [40, 40], (0, 1))
+        engine.run_batch(xs, masks, packed=True)
+        key = plan_key(engine, 40, (40, 40))
+        captured = PLAN_CACHE.lookup(key)
+        probe = compile_plan(engine, key)
+        assert captured is not None
+        assert captured.records == probe.records
+        assert captured.choices == probe.choices
+        assert captured.latency_us == probe.latency_us
+
+    def test_one_miss_then_one_hit(self, engine):
+        PLAN_CACHE.clear()
+        xs, masks = _batch(np.random.default_rng(12), [40, 40])
+        engine.run_batch(xs, masks, packed=True)
+        assert PLAN_CACHE.stats() == {"size": 1, "hits": 0, "misses": 1,
+                                      "evictions": 0}
+        engine.run_batch(xs, masks, packed=True)
+        assert PLAN_CACHE.stats() == {"size": 1, "hits": 1, "misses": 1,
+                                      "evictions": 0}
+
+    def test_one_serial_run_per_new_key_on_own_input(self, engine,
+                                                     monkeypatch):
+        PLAN_CACHE.clear()
+        seen = []
+        run_prepared = engine._run_prepared
+
+        def spy(x, mask):
+            seen.append(x)
+            return run_prepared(x, mask)
+
+        monkeypatch.setattr(engine, "_run_prepared", spy)
+        xs, masks = _batch(np.random.default_rng(13), [40, 40, 24, 24, 24])
+        engine.run_batch(xs, masks, packed=True)
+        assert len(seen) == 2
+        assert seen[0] is xs[0] and seen[1] is xs[2]
+        engine.run_batch(xs, masks, packed=True)
+        assert len(seen) == 2
 
 
 class TestLatencyMemoization:

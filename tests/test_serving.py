@@ -1,5 +1,7 @@
 """Serving layer: queue ordering, bucketing, batching, scheduling, metrics."""
 
+import os
+import subprocess
 import sys
 import threading
 from collections import defaultdict
@@ -24,6 +26,7 @@ from repro.serving import (
     ResponseStatus,
     Scheduler,
     make_policy,
+    model_crossover,
     run_loadgen,
 )
 
@@ -112,6 +115,21 @@ class TestBucketPolicy:
     def test_crossover_beyond_max_is_trivially_aligned(self):
         pol = BucketPolicy.crossover_aligned(224, 64, width=32)
         assert pol.edges == (32, 64)
+
+
+    @pytest.mark.parametrize("model,expected", [
+        ("BERT_BASE", (224, 240, 240)),
+        ("DistilBERT", (224, 240, 240)),
+        ("Transformer", (224, 224, 224)),
+        ("small", (224, 224, 224)),
+    ])
+    def test_model_crossover_recorded_values(self, model, expected):
+        # Recorded from the numerics-probe implementation of the sweep;
+        # 224 at max length 64 is the paper fallback (no switch in range).
+        cfg = LoadgenSpec(model=model).model_config()
+        got = tuple(model_crossover(cfg.num_heads, cfg.d_head, max_len)
+                    for max_len in (64, 320, 512))
+        assert got == expected
 
 
 class TestDynamicBatcher:
@@ -261,6 +279,20 @@ class TestSchedulerAndLoadgen:
                     r.queue_us + (r.finish_us - r.start_us))
                 assert r.queue_us >= 0.0
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(rate_per_s=0.0), "rate must be positive"),
+        (dict(num_requests=0), "requests must be >= 1"),
+        (dict(mode="closed", clients=0), "clients must be >= 1"),
+        (dict(mode="both"), "unknown mode"),
+    ])
+    def test_invalid_spec_fails_at_construction(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            _small_loadgen_spec(**kw)
+
+    def test_rate_ignored_in_closed_mode_and_clients_in_open(self):
+        _small_loadgen_spec(mode="closed", clients=2, rate_per_s=0.0)
+        _small_loadgen_spec(mode="open", clients=0)
+
     def test_memoized_worker_matches_plain(self, serve_cfg, rng):
         eng = ETEngine(EncoderWeights.random(serve_cfg, rng))
         pol = BucketPolicy(name="t", edges=(64,))
@@ -353,6 +385,19 @@ class TestAsyncServerSmoke:
                 server.submit(rng.standard_normal((64, serve_cfg.d_model)))
 
 
+def test_serving_import_graph_has_no_scipy():
+    """scipy (``eval.metrics.spearman`` only) stays off the serving path:
+    importing it costs about a second of every cold start and replica
+    spawn."""
+    code = ("import sys, repro.runtime, repro.serving, "
+            "repro.serving.pool.worker; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCLIServing:
     def test_loadgen_cli(self, capsys):
         from repro.cli import main
@@ -386,6 +431,22 @@ class TestCLIServing:
             kinds = events.lifecycle(rid)
             assert sum(k in ("complete", "reject") for k in kinds) == 1
         assert events.counts()["complete"] == 24
+
+    @pytest.mark.parametrize("command", ["loadgen", "serve"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--rate", "0"], "rate must be positive"),
+        (["--requests", "-3"], "requests must be >= 1"),
+        (["--mode", "closed", "--clients", "0"], "clients must be >= 1"),
+    ], ids=["rate0", "requests-3", "clients0"])
+    def test_invalid_config_is_a_usage_error(self, command, flags, message,
+                                             capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "small", "--max-len", "64", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"error: {message}" in err
 
     def test_list_mentions_serving(self, capsys):
         from repro.cli import main
