@@ -11,24 +11,20 @@ table should show:
 
 Besides the pytest-benchmark sweep, ``python benchmarks/bench_serving.py
 --json`` writes ``BENCH_serving.json`` at the repo root: the loadgen
-serving metrics (throughput, p50/p95/p99 — identical for packed and
-serial execution by construction), measured wall-clock speedups of the
-packed batch path over per-request execution on the ET engine, and a
-``pool`` section driving the same seeded request mix through the
-thread-backed :class:`AsyncServer` and the multi-process
-:class:`PoolServer` (2 replicas, shared-memory weights). Each backend is
-measured as its CLI driver configures it — the pool's per-replica plan
-caches, per-length memoization and packed execution are features of the
-backend, not bench knobs. The loadgen section runs with per-bucket SLO
-deadlines (``slo_us=0``) so attainment/goodput land in the report, and a
-``telemetry`` section measures instrumentation overhead (flight recorder
-alone, and with the Chrome trace derived from it). The process exits
-nonzero if packed execution is ever slower than serial at batch ≥ 8, if
-the pool's outputs are not bitwise identical to the thread backend's, if
-pool throughput at batch ≥ 8 falls below the thread backend, or if
-instrumentation changes the rendered report or the flight recorder costs
-more than the overhead sanity bound — what
-CI's perf-smoke job checks (which also gates the report against
+serving metrics (throughput, p50/p95/p99), and a ``pool`` section
+driving the same seeded request mix through the thread-backed
+:class:`AsyncServer` and the multi-process :class:`PoolServer`
+(2 replicas, shared-memory weights). Each backend is measured as its CLI
+driver configures it — the pool's per-length memoization is a feature of
+the backend, not a bench knob. The loadgen section runs with per-bucket
+SLO deadlines (``slo_us=0``) so attainment/goodput land in the report,
+and a ``telemetry`` section measures instrumentation overhead (flight
+recorder alone, and with the Chrome trace derived from it). The process
+exits nonzero if the pool's outputs are not bitwise identical to the
+thread backend's, if pool throughput at batch ≥ 8 falls below the thread
+backend, or if instrumentation changes the rendered report or the flight
+recorder costs more than the overhead sanity bound — what CI's
+perf-smoke job checks (which also gates the report against
 ``BENCH_history.jsonl`` via ``tools/bench_history.py``).
 """
 
@@ -41,10 +37,7 @@ import time
 
 import numpy as np
 
-from repro.config import small_config
 from repro.eval.format import render_table
-from repro.pruning import PruneMethod
-from repro.runtime import EncoderWeights, ETEngine
 from repro.serving import (
     AsyncServer,
     LoadgenSpec,
@@ -61,12 +54,6 @@ RATES = (200.0, 1000.0, 5000.0)
 POLICIES = ("single", "fine32", "fine64")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-#: Wall-clock speedup grid: the serving sweet spot (short sequences, the
-#: regime where per-request overhead dominates) at and above the
-#: scheduler's default max_batch.
-SPEEDUP_SEQ_LENS = (16, 32)
-SPEEDUP_BATCHES = (8, 16, 32)
 
 
 def _sweep():
@@ -110,54 +97,17 @@ def test_bench_serving(benchmark):
 # ---- `--json` mode: BENCH_serving.json for CI's perf-smoke job ----------
 
 
-def _bench_engine(seed: int = 0) -> ETEngine:
-    """The serving-shaped engine the speedup grid measures (ET, pruned)."""
-    cfg = small_config(name="serve-small", max_seq_len=64)
-    weights = EncoderWeights.random(cfg, np.random.default_rng(seed), 1)
-    weights.prune(PruneMethod.ATTENTION_AWARE, 0.8)
-    return ETEngine(weights)
-
-
-def measure_packed_speedup(engine: ETEngine, seq_len: int, batch: int,
-                           repeats: int = 7, seed: int = 0) -> dict:
-    """Best-of-``repeats`` wall-clock of one batch, packed vs per-request.
-
-    Both paths produce bitwise identical results (tests/test_packed.py),
-    so this is a pure execution-efficiency measurement.
-    """
-    rng = np.random.default_rng(seed)
-    d_model = engine.weights.config.d_model
-    xs = [rng.standard_normal((seq_len, d_model)) for _ in range(batch)]
-    best: dict[bool, float] = {}
-    for packed in (False, True):
-        engine.run_batch(xs, packed=packed)  # warm caches and plans
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            engine.run_batch(xs, packed=packed)
-            times.append(time.perf_counter() - t0)
-        best[packed] = min(times)
-    return {
-        "seq_len": seq_len,
-        "batch": batch,
-        "serial_ms": round(best[False] * 1e3, 3),
-        "packed_ms": round(best[True] * 1e3, 3),
-        "speedup": round(best[False] / best[True], 2),
-    }
-
-
 def _summary_spec() -> LoadgenSpec:
-    """The representative packed loadgen run (SLO: per-bucket defaults)."""
+    """The representative loadgen run (SLO: per-bucket defaults)."""
     return LoadgenSpec(
         engine="et", model="small", rate_per_s=1000.0, num_requests=120,
         seed=0, max_seq_len=64, seq_step=16, policy="fine64", workers=2,
-        max_batch=8, max_wait_us=2_000.0, max_depth=64, packed=True,
-        slo_us=0.0,
+        max_batch=8, max_wait_us=2_000.0, max_depth=64, slo_us=0.0,
     )
 
 
 def _loadgen_summary() -> dict:
-    """One representative packed loadgen run's serving metrics.
+    """One representative loadgen run's serving metrics.
 
     Runs with the flight recorder on so the report carries the per-stage
     waterfall totals/shares (``stage_time_us`` / ``stage_shares``) that
@@ -224,7 +174,7 @@ def measure_telemetry_overhead(repeats: int = 15) -> dict:
     from repro.obs import EventLog
 
     spec = _summary_spec()
-    run_loadgen(spec)  # warm plan caches for every arm
+    run_loadgen(spec)  # warm the process-wide caches for every arm
 
     # Interleave the arms round-robin so slow CPU-state drift (frequency
     # scaling, co-tenant noise) biases no arm; keep each arm's best.
@@ -261,13 +211,13 @@ def _pool_spec(n_workers: int, num_requests: int = 96) -> LoadgenSpec:
         engine="et", model="small", rate_per_s=1000.0,
         num_requests=num_requests, seed=0, max_seq_len=64, seq_step=16,
         policy="fine64", workers=n_workers, max_batch=8,
-        max_wait_us=2_000.0, max_depth=64, packed=True,
+        max_wait_us=2_000.0, max_depth=64,
     )
 
 
 def _best_drive(server, spec, payloads, repeats: int) -> tuple[float, list]:
     """Warm once, then best-of-``repeats`` wall clock of the seeded mix."""
-    responses = drive_server(server, spec, payloads)  # warm plans/caches
+    responses = drive_server(server, spec, payloads)  # warm caches
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -329,11 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: ``--json`` writes BENCH_serving.json at repo root."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", action="store_true",
-                    help="write BENCH_serving.json and exit nonzero if the "
-                         "packed path is slower than serial at batch >= 8")
+                    help="write BENCH_serving.json and exit nonzero if a "
+                         "gate fails")
     ap.add_argument("--out", type=pathlib.Path,
                     default=REPO_ROOT / "BENCH_serving.json")
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--pool-workers", type=int, default=2,
                     help="replica processes for the pool-vs-thread section "
                          "(0 skips it)")
@@ -341,16 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.json:
         ap.error("nothing to do: pass --json (the sweep runs under pytest)")
 
-    engine = _bench_engine()
-    grid = [measure_packed_speedup(engine, s, b, repeats=args.repeats)
-            for s in SPEEDUP_SEQ_LENS for b in SPEEDUP_BATCHES]
-    best = max(grid, key=lambda r: r["speedup"])
     telemetry = measure_telemetry_overhead()
     report = {
         "loadgen": _loadgen_summary(),
-        "packed_speedup": grid,
-        "best_speedup": best["speedup"],
-        "best_config": {"seq_len": best["seq_len"], "batch": best["batch"]},
         "telemetry": telemetry,
     }
     pool = None
@@ -359,11 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         report["pool"] = pool
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(render_table(
-        ["seq_len", "batch", "serial ms", "packed ms", "speedup"],
-        [[r["seq_len"], r["batch"], r["serial_ms"], r["packed_ms"],
-          f'{r["speedup"]}x'] for r in grid],
-        title=f"packed vs serial wall clock — {args.out}"))
+    print(f"wrote {args.out}")
     if pool is not None:
         print(render_table(
             ["backend", "workers", "wall s", "seq/s"],
@@ -379,10 +317,6 @@ def main(argv: list[str] | None = None) -> int:
           f"{telemetry['plain_s']}s, reports identical: "
           f"{telemetry['report_identical']})")
     failed = False
-    slow = [r for r in grid if r["speedup"] < 1.0]
-    if slow:
-        print(f"FAIL: packed slower than serial at {slow}", file=sys.stderr)
-        failed = True
     if not telemetry["report_identical"]:
         print("FAIL: instrumentation changed the rendered loadgen report",
               file=sys.stderr)

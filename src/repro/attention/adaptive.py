@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.ops.context import ExecContext
-from repro.attention.flash import flash_attention, packed_flash_attention
+from repro.attention.flash import flash_attention
 from repro.attention.onthefly import otf_attention
 from repro.attention.partial import partial_otf_attention
 
@@ -67,45 +67,6 @@ def select_attention(
         "flash": flash_attention,
     }
     return impls[choice](ctx, q, k, v, mask, **kw), choice
-
-
-def packed_select_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None,
-    choice: str,
-    device=None,
-    bytes_per_elem: int = 2,
-    effective_v_width: int | None = None,
-    tensor_core: bool = True,
-) -> np.ndarray:
-    """Replay a plan-recorded attention choice over a packed batch.
-
-    The packed path never re-runs the cost comparison (that was done once
-    at plan-compile time); it dispatches straight to the recorded winner's
-    numerics-only twin. The OTF/partial twins compute identical math, so
-    their extra arguments are ignored; the flash twin re-derives its
-    device-dependent tile shape, so ``device`` (and the cost-only
-    ``effective_v_width``/``tensor_core`` inputs) must match what the
-    serial compile pass used for the packed output to stay bitwise equal.
-    """
-    from repro.attention.onthefly import packed_otf_attention
-    from repro.attention.partial import packed_partial_otf_attention
-
-    if choice == "flash":
-        return packed_flash_attention(
-            q, k, v, mask, device=device, bytes_per_elem=bytes_per_elem,
-            effective_v_width=effective_v_width, tensor_core=tensor_core)
-    impls = {
-        "otf": packed_otf_attention,
-        "partial_otf": packed_partial_otf_attention,
-    }
-    try:
-        impl = impls[choice]
-    except KeyError:
-        raise ValueError(f"unknown attention choice {choice!r}") from None
-    return impl(q, k, v, mask)
 
 
 def _modeled_us(ctx: ExecContext, num_heads: int, d_k: int,

@@ -214,13 +214,11 @@ def _flash_numerics(
 ) -> np.ndarray:
     """Tiled online-softmax attention over ``(..., s, d)`` operands.
 
-    Generic over leading axes — the serial path calls it with ``(H, s, d)``
-    and the packed path with ``(B, H, s, d)``; every operation is
-    elementwise or a batched matmul over those leading axes, so both execute
-    the identical per-slice floating-point schedule and the outputs are
-    bitwise equal (given equal tiles). Scaling is applied to the Q block
-    *before* the matmul — with FP16 inputs this keeps the score tile inside
-    the representable range instead of overflowing and then scaling.
+    Generic over leading axes (:func:`flash_attention` passes ``(H, s, d)``);
+    every operation is elementwise or a batched matmul over them. Scaling
+    is applied to the Q block *before* the matmul — with FP16 inputs this
+    keeps the score tile inside the representable range instead of
+    overflowing and then scaling.
     """
     *lead, s, d_k = q.shape
     d_v = v.shape[-1]
@@ -288,31 +286,3 @@ def flash_attention(
     )
     z = _flash_numerics(q, k, v, mask, br, bc)
     return z.transpose(1, 0, 2).reshape(s, h * v.shape[2])
-
-
-def packed_flash_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-    device: DeviceSpec | None = None,
-    bytes_per_elem: int = 2,
-    effective_v_width: int | None = None,
-    tensor_core: bool = True,
-) -> np.ndarray:
-    """Numerics-only flash attention over a packed ``(B, H, s, d_k)`` batch.
-
-    Launches nothing — the packed path replays costs from its compiled
-    :class:`~repro.runtime.plan.LayerPlan`. The ``device`` (and the
-    cost-only ``effective_v_width``/``tensor_core`` inputs) must match what
-    the serial compile pass used: tile shapes depend on them, and the
-    bitwise serial/packed equivalence holds only for equal tiles.
-    """
-    b, h, s, d_k = q.shape
-    v_width = effective_v_width if effective_v_width is not None else v.shape[-1]
-    br, bc = flash_tile_shape(
-        h, s, d_k, v_width, device or default_device(), bytes_per_elem,
-        tensor_core=tensor_core, has_mask=mask is not None,
-    )
-    z = _flash_numerics(q, k, v, mask, br, bc)
-    return z.transpose(0, 2, 1, 3).reshape(b, s, h * v.shape[-1])

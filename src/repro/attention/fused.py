@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.ops.context import ExecContext
 from repro.ops.gemm import GemmAlgo, batched_gemm
-from repro.ops.softmax import masked_softmax, packed_masked_softmax
+from repro.ops.softmax import masked_softmax
 
 
 def fused_attention(
@@ -36,26 +36,3 @@ def fused_attention(
         tag="step5_softmax",
     )
     return batched_gemm(ctx, probs, v, algo=algo, name="sv", tag="step6_sv")
-
-
-def packed_fused_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerics-only fused attention over a packed ``(B, H, s, d_k)`` batch.
-
-    Returns head-major ``(B, H, s, d_k)`` like the serial operator (callers
-    merge heads). Launches nothing — costs replay from the compiled plan.
-    Shares :func:`~repro.ops.softmax.packed_masked_softmax` with the serial
-    kernel, so the scale→mask→softmax op order is single-sourced.
-    """
-    d_k = q.shape[-1]
-    scores = q @ k.transpose(0, 1, 3, 2)
-    probs = packed_masked_softmax(
-        scores,
-        np.broadcast_to(mask, scores.shape) if mask is not None else None,
-        scale_factor=1.0 / np.sqrt(float(d_k)),
-    )
-    return probs @ v

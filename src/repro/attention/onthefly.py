@@ -171,26 +171,3 @@ def otf_attention(
         scores = scores + mask
     z = softmax(scores, axis=-1) @ v
     return z.transpose(1, 0, 2).reshape(s, h * v.shape[2])
-
-
-def packed_otf_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerics-only OTF attention over a packed ``(B, H, s, d_k)`` batch.
-
-    Vectorizes :func:`otf_attention`'s exact floating-point schedule over
-    batch *and* heads (the scaled-Q reorder included) and returns the merged
-    ``(B, s, H·d_v)`` Z. Launches nothing — the packed execution path replays
-    costs from its compiled :class:`~repro.runtime.plan.LayerPlan`. Each
-    batched matmul computes per-slice reductions in the serial call's order,
-    so outputs are bitwise equal.
-    """
-    b, h, s, d_k = q.shape
-    scores = (q / np.sqrt(float(d_k))) @ k.transpose(0, 1, 3, 2)
-    if mask is not None:
-        scores = scores + mask
-    z = softmax(scores, axis=-1) @ v
-    return z.transpose(0, 2, 1, 3).reshape(b, s, h * v.shape[-1])

@@ -122,21 +122,3 @@ def partial_otf_attention(
         scores = scores + mask
     z = softmax(scores, axis=-1) @ v
     return z.transpose(1, 0, 2).reshape(s, h * v.shape[2])
-
-
-def packed_partial_otf_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerics-only partial-OTF attention over ``(B, H, s, d_k)`` operands.
-
-    The two-kernel split changes only the *cost* decomposition — its math is
-    identical to the one-kernel operator — so the packed twin delegates to
-    :func:`~repro.attention.onthefly.packed_otf_attention`; the cost
-    difference lives in the compiled plan's record template.
-    """
-    from repro.attention.onthefly import packed_otf_attention
-
-    return packed_otf_attention(q, k, v, mask)

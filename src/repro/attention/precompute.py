@@ -239,50 +239,6 @@ def partial_otf_attention_precomputed(
     return out
 
 
-def packed_precomputed_vside(
-    xb: np.ndarray,
-    m_heads: np.ndarray,
-) -> np.ndarray:
-    """Numerics-only step ① over a packed ``(B, s, d)`` batch.
-
-    Returns head-major ``(B, H, s, w)``. The einsum contracts ``d`` per
-    ``(b, h)`` slice in the same order as the serial per-request call, so
-    slices are bitwise equal; costs replay from the compiled plan.
-    """
-    return np.einsum("bsd,hdw->bhsw", xb, m_heads, optimize=True)
-
-
-def packed_precomputed_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    xm: np.ndarray,
-    out_features: int,
-    kept_cols: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerics-only head-summing OTF attention over ``(B, H, s, d_k)``.
-
-    The batched twin of both :func:`otf_attention_precomputed` and
-    :func:`partial_otf_attention_precomputed` (their math is identical; the
-    full/partial split only changes the cost decomposition, which the plan
-    replays). Returns full-width ``(B, s, out_features)`` with zeros in the
-    pruned columns.
-    """
-    d_k = q.shape[-1]
-    w = xm.shape[-1]
-    scores = (q / np.sqrt(float(d_k))) @ k.transpose(0, 1, 3, 2)
-    if mask is not None:
-        scores = scores + mask
-    z = (softmax(scores, axis=-1) @ xm).sum(axis=1)  # (B, s, w)
-    if kept_cols is None:
-        if w != out_features:
-            raise ValueError("kept_cols required when folded width is condensed")
-        return z
-    out = np.zeros((*z.shape[:-1], out_features), dtype=z.dtype)
-    out[..., np.asarray(kept_cols, dtype=np.intp)] = z
-    return out
-
-
 def select_attention_precomputed(
     ctx: ExecContext,
     q: np.ndarray,

@@ -25,20 +25,6 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(s, h * dk)
 
 
-def packed_split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    """``(B, s, d)`` batch to ``(B, H, s, d_k)`` — :func:`split_heads` per item."""
-    b, s, d = x.shape
-    if d % num_heads:
-        raise ValueError(f"d_model {d} not divisible by H={num_heads}")
-    return x.reshape(b, s, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
-def packed_merge_heads(x: np.ndarray) -> np.ndarray:
-    """``(B, H, s, d_k)`` back to ``(B, s, d)`` — :func:`merge_heads` per item."""
-    b, h, s, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dk)
-
-
 def reference_attention(
     q: np.ndarray,
     k: np.ndarray,

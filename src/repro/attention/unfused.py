@@ -12,7 +12,7 @@ import numpy as np
 from repro.ops.context import ExecContext
 from repro.ops.elementwise import scale
 from repro.ops.gemm import GemmAlgo, batched_gemm
-from repro.ops.softmax import apply_mask, softmax, softmax_rows
+from repro.ops.softmax import apply_mask, softmax_rows
 
 
 def unfused_attention(
@@ -35,23 +35,3 @@ def unfused_attention(
         )
     probs = softmax_rows(ctx, scores, tag="step5_softmax")
     return batched_gemm(ctx, probs, v, algo=algo, name="sv", tag="step6_sv")
-
-
-def packed_unfused_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Numerics-only unfused attention over a packed ``(B, H, s, d_k)`` batch.
-
-    Mirrors the serial five-step op order (QKᵀ, scale, mask, softmax, S·V)
-    without launching; costs replay from the compiled plan. Returns
-    head-major ``(B, H, s, d_k)``.
-    """
-    d_k = q.shape[-1]
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores = scores * (1.0 / np.sqrt(float(d_k)))
-    if mask is not None:
-        scores = scores + np.broadcast_to(mask, scores.shape)
-    return softmax(scores) @ v

@@ -9,8 +9,8 @@ The rest is built from that log afterwards:
   :func:`write_chrome_trace`) — request ── queue_wait / service ── layer
   ── step ── kernel, with the Fig. 11/12 counters on every kernel span
   and counter tracks for queue depth and achieved GB/s. Every kernel
-  cost is a pure function of shapes, so replaying the engine's plan for
-  a request's ``seq_len`` rebuilds its kernel tree exactly.
+  cost is a pure function of shapes, so one engine run at a request's
+  ``seq_len`` rebuilds its kernel tree exactly.
 - **Waterfalls, trace diffs and roofline attribution**
   (:mod:`~repro.obs.critical_path`, :mod:`~repro.obs.diff`,
   :mod:`~repro.obs.attribution`).

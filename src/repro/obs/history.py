@@ -8,7 +8,7 @@ baseline report.
 Only *deterministic* metrics are gated: the loadgen section runs on the
 virtual-time scheduler, so its throughput / tail-latency / SLO-attainment
 numbers are exact functions of the seed and tolerate tight thresholds.
-Wall-clock sections (packed speedups, pool-vs-thread seconds) are noisy
+Wall-clock sections (pool-vs-thread seconds) are noisy
 on shared CI runners and are recorded in history but never gated here —
 bench_serving itself applies its coarse ordering gates to those.
 

@@ -99,20 +99,6 @@ def prometheus_text(metrics: "MetricsRegistry",
                  f"SLO attainment per {group}.",
                  [(f'{{{label}="{k}"}}', v) for k, v in rates.items()])
 
-    sources = sorted(metrics.plan_cache)
-    for key, kind, help_text in (
-        ("hits", "counter", "Plan-cache hits per source."),
-        ("misses", "counter", "Plan-cache misses per source."),
-        ("evictions", "counter", "Plan-cache evictions per source."),
-        ("size", "gauge", "Live compiled layer plans per source."),
-    ):
-        suffix = "_total" if kind == "counter" else ""
-        w.series(
-            f"plan_cache_{key}{suffix}", kind, help_text,
-            [(f'{{source="{s}"}}', metrics.plan_cache[s].get(key, 0.0))
-             for s in sources] if sources else
-            [("", snap[f"plan_cache_{key}"])])
-
     win = metrics.window
     wsnap = win.snapshot()
     w.series("window_latency_us", "summary",

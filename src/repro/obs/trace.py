@@ -18,8 +18,8 @@ run's whole trace from its flight-recorder
 :class:`~repro.obs.events.EventLog`: the events hold every request and
 batch timestamp, and every kernel cost in the cost model is a pure
 function of shapes (serving requests carry no mask), so a request's
-kernel tree is fixed by its ``seq_len`` and is replayed from the
-engine's compiled plan for that length. The derived trace is therefore
+kernel tree is fixed by its ``seq_len`` and is taken from one zeros-input
+run of the engine at that length. The derived trace is therefore
 exactly the one a live recorder would have seen, and the serving hot
 path records each transition once.
 """
@@ -29,12 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.gpu.counters import KernelRecord, Timeline
 from repro.obs.critical_path import EventsLike, _BatchInfo, _index, _RunIndex
-from repro.runtime.plan import LayerPlan, PlanCache, get_plan, replay_records
 
 if TYPE_CHECKING:
-    from repro.runtime.engine import Engine
+    from repro.runtime.engine import Engine, EngineResult
 
 #: Counter tracks: track name -> ``(ts_us, value)`` samples in time order.
 Counters = dict[str, list[tuple[float, float]]]
@@ -164,7 +165,7 @@ def engine_spans(timeline: Timeline, parent: Span,
 
 
 def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
-                 plans: dict[int, LayerPlan]) -> list[Span]:
+                 runs: dict[int, "EngineResult"]) -> list[Span]:
     """One executed batch: its ``batch`` span, then one ``request`` span
     per member with its ``queue_wait``/``service`` phases.
 
@@ -181,20 +182,18 @@ def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
     cursor = start
     for rid in sorted(batch.members, key=lambda r: (idx.admit_us[r], r)):
         done, arrival = idx.complete[rid], idx.admit_us[rid]
-        plan = plans[done.seq_len]  # type: ignore[index]
+        run = runs[done.seq_len]  # type: ignore[index]
         sp = Span(f"request{rid}", "request", arrival, done.ts_us, {
             "rid": rid, "seq_len": done.seq_len, "bucket": batch.bucket,
             "batch_id": batch.batch_id, "batch_size": batch.size,
             "engine": engine.name, "client": done.tenant,
-            "otf_regime": "/".join(sorted(set(plan.choices.values()))),
+            "otf_regime": "/".join(sorted(set(run.choices.values()))),
             "status": "ok",
         })
         sp.child("queue_wait", "phase", arrival, start)
         service = sp.child("service", "phase", start, done.ts_us,
                            {"batch_id": batch.batch_id})
-        timeline = Timeline(engine.device)
-        replay_records(plan, timeline)
-        cursor = engine_spans(timeline, service, plan.choices, cursor)
+        cursor = engine_spans(run.timeline, service, run.choices, cursor)
         spans.append(sp)
     return spans
 
@@ -211,13 +210,13 @@ def build_trace(events: EventsLike, engine: "Engine"
     before each admission; an admitted request counts from its own
     ``admit`` (the canonical order puts every admit at one timestamp
     before every enqueue), and a batch's members leave at
-    ``batch_formed``. Plans compile into a private cache, so the
-    process-wide plan-cache counters a run reports do not move.
+    ``batch_formed``. Each distinct ``seq_len`` runs the engine once on
+    a zeros input for its kernel records and attention choices.
     """
     idx = _index(events)
-    cache = PlanCache()
-    plans = {s: get_plan(engine, s, None, cache=cache)
-             for s in sorted({e.seq_len for e in idx.complete.values()})}
+    d_model = engine.weights.config.d_model
+    runs = {s: engine.run(np.zeros((s, d_model)))
+            for s in sorted({e.seq_len for e in idx.complete.values()})}
     roots: list[Span] = []
     depth_samples: list[tuple[float, float]] = []
     depth = 0
@@ -239,7 +238,7 @@ def build_trace(events: EventsLike, engine: "Engine"
             if batch is not None and batch.members \
                     and e.ts_us == batch.dispatch_us:
                 laid.add(batch.batch_id)
-                roots.extend(_batch_spans(idx, batch, engine, plans))
+                roots.extend(_batch_spans(idx, batch, engine, runs))
     return roots, {"queue_depth": depth_samples}
 
 

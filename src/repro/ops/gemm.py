@@ -133,10 +133,8 @@ def gemm_epilogue(
 ) -> np.ndarray:
     """The fused-GEMM epilogue numerics: bias, activation, residual, LN.
 
-    Shared by the serial kernel (:func:`gemm_bias_act`) and the packed batch
-    path (:func:`packed_gemm_bias_act`) so the two execute the exact same
-    floating-point operations in the exact same order — the packed path's
-    bitwise-equality contract depends on this being single-sourced.
+    :func:`gemm_bias_act` applies this to its product after launching the
+    kernel's cost.
     """
     from repro.ops.elementwise import gelu, relu  # local import to avoid cycle
 
@@ -155,29 +153,6 @@ def gemm_epilogue(
         var = y.var(axis=-1, keepdims=True)
         y = (y - mu) / np.sqrt(var + ln_eps) * ln_gamma + ln_beta
     return y
-
-
-def packed_gemm_bias_act(
-    a: np.ndarray,
-    w_t: np.ndarray,
-    bias: np.ndarray | None = None,
-    act: str | None = None,
-    residual: np.ndarray | None = None,
-    ln_gamma: np.ndarray | None = None,
-    ln_beta: np.ndarray | None = None,
-    ln_eps: float = 1e-5,
-) -> np.ndarray:
-    """Numerics-only fused GEMM over a packed ``(B, s, k)`` batch.
-
-    No kernel launch: the packed execution path replays costs from the
-    compiled :class:`~repro.runtime.plan.LayerPlan`. ``a @ w_t`` over a
-    stacked batch computes each ``(s, k) @ (k, n)`` slice with the same
-    reduction order as the serial call, so outputs match bitwise.
-    """
-    if a.shape[-1] != w_t.shape[0]:
-        raise ValueError(f"gemm shape mismatch: {a.shape} @ {w_t.shape}")
-    return gemm_epilogue(a @ w_t, bias, act, residual, ln_gamma, ln_beta,
-                         ln_eps)
 
 
 def gemm_bias_act(

@@ -53,21 +53,5 @@ def layer_norm_op(
             tag=tag or "layernorm",
         )
     )
-    return packed_layer_norm(x, gamma, beta, residual, eps)
-
-
-def packed_layer_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    residual: np.ndarray | None = None,
-    eps: float = 1e-5,
-) -> np.ndarray:
-    """Numerics-only (residual+)LayerNorm for the packed batch path.
-
-    :func:`layer_norm_op` delegates here after launching its cost, so the
-    serial and packed paths share one floating-point op order; the packed
-    path replays costs from its compiled plan instead of launching.
-    """
     y = x + residual if residual is not None else x
     return layer_norm(y, gamma, beta, eps)

@@ -59,9 +59,7 @@ def online_softmax_update(
     tile needs no special case.
 
     All operations are elementwise or batched matmuls over the leading
-    axes, so the serial ``(H, ...)`` and packed ``(B, H, ...)`` callers
-    execute identical per-slice floating-point schedules — the flash
-    packed-equivalence tests pin the outputs down bitwise.
+    (head) axes.
     """
     m_new = np.maximum(m, scores.max(axis=-1))
     p = np.exp(scores - m_new[..., None])
@@ -140,21 +138,6 @@ def masked_softmax(
             tag=tag or "masked_softmax",
         )
     )
-    return packed_masked_softmax(scores, mask, scale_factor)
-
-
-def packed_masked_softmax(
-    scores: np.ndarray,
-    mask: np.ndarray | None = None,
-    scale_factor: float | None = None,
-) -> np.ndarray:
-    """Numerics-only scale+mask+softmax for the packed batch path.
-
-    Single-sourced with :func:`masked_softmax` (which delegates here after
-    launching its cost) so serial and packed attention apply the identical
-    op order; the packed path replays costs from its compiled plan instead
-    of launching.
-    """
     s = scores if scale_factor is None else scores * scale_factor
     if mask is not None:
         s = s + mask

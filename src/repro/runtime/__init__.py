@@ -18,20 +18,8 @@ exact axes the paper's comparison isolates (Section 5.2.1):
 """
 
 from repro.runtime.weights import LayerWeights, EncoderWeights
-from repro.runtime.engine import Engine, EngineResult
+from repro.runtime.engine import Engine, EngineResult, mask_fingerprint
 from repro.runtime.autotune import autotune_gemm_algo
-from repro.runtime.plan import (
-    PLAN_CACHE,
-    LayerPlan,
-    PackedLayer,
-    PlanCache,
-    PlanKey,
-    compile_plan,
-    engine_fingerprint,
-    get_plan,
-    mask_fingerprint,
-    weights_fingerprint,
-)
 from repro.runtime.pytorch_like import PyTorchLikeEngine
 from repro.runtime.tensorrt_like import TensorRTLikeEngine
 from repro.runtime.fastertransformer_like import FasterTransformerLikeEngine
@@ -43,16 +31,7 @@ __all__ = [
     "Engine",
     "EngineResult",
     "autotune_gemm_algo",
-    "PLAN_CACHE",
-    "LayerPlan",
-    "PackedLayer",
-    "PlanCache",
-    "PlanKey",
-    "compile_plan",
-    "engine_fingerprint",
-    "get_plan",
     "mask_fingerprint",
-    "weights_fingerprint",
     "PyTorchLikeEngine",
     "TensorRTLikeEngine",
     "FasterTransformerLikeEngine",

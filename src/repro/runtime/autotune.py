@@ -11,10 +11,9 @@ The same machinery now covers the attention operator itself: per
 OTF and flash with their **cost-only estimators** — no scratch numerics
 pass per candidate, which is what the old two-way ``select_attention`` paid
 (two throwaway attention computations per layer per request). Winners land
-in a :class:`TuneCache` (the LRU-with-counters shape of
-:class:`~repro.runtime.plan.PlanCache`) that can persist to JSON, so a
-serving process starts with the previous run's table and the first request
-of every bucket is already a cache hit.
+in a :class:`TuneCache` (an LRU with hit/miss counters) that can persist
+to JSON, so a serving process starts with the previous run's table and the
+first request of every bucket is already a cache hit.
 """
 
 from __future__ import annotations
@@ -82,9 +81,8 @@ class AttentionKey:
     Everything any candidate's cost reads, nothing more: the device (flash
     tile shapes and grid occupancy are device-dependent), the head
     geometry, mask presence (mask bytes shift every crossover), and the
-    dtype/core flags. Batch size is deliberately absent — the serial cost
-    template is per-request, exactly as in
-    :class:`~repro.runtime.plan.PlanKey`.
+    dtype/core flags. Batch size is deliberately absent — every cost is
+    per request, since batches run one member at a time.
     """
 
     device: str
@@ -173,10 +171,9 @@ def estimate_attention_us(key: AttentionKey, algo: str) -> float:
 class TuneCache:
     """Thread-safe LRU of attention tuning decisions, JSON-persistable.
 
-    The in-memory shape mirrors :class:`~repro.runtime.plan.PlanCache`
-    (ordered dict + lock + hit/miss/eviction counters); on top of that,
-    :meth:`save`/:meth:`load` round-trip the table through a
-    deterministically sorted JSON file so tuning survives process
+    In memory it is an ordered dict + lock + hit/miss/eviction counters;
+    on top of that, :meth:`save`/:meth:`load` round-trip the table through
+    a deterministically sorted JSON file so tuning survives process
     restarts — the trace-smoke CI job asserts the round trip is
     byte-stable.
     """
@@ -254,7 +251,7 @@ class TuneCache:
         return len(entries)
 
 
-#: Process-wide attention tune cache, shared like ``PLAN_CACHE``.
+#: Process-wide attention tune cache, shared by every engine.
 TUNE_CACHE = TuneCache()
 
 

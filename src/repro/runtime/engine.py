@@ -1,25 +1,14 @@
 """Engine base class and result container.
 
-Two execution paths drive the same per-layer kernel schedules:
-
-- **serial** — :meth:`Engine.run` loops layers for one ``(s, d_model)``
-  sequence, launching costed kernels into a fresh timeline;
-- **packed** — :meth:`Engine.run_packed` groups a batch by
-  ``(seq_len, mask shape)``, stacks each group into one ``(B, s, d_model)``
-  tensor and drives the whole stack with batched numerics, while replaying
-  a compiled :class:`~repro.runtime.plan.LayerPlan`'s record template for
-  byte-identical per-request cost provenance. Groups vectorize only over
-  equal lengths — zero-padding ragged members would change reduction
-  lengths and therefore floating-point summation order, breaking the
-  bitwise-equality contract the packed-equivalence tests enforce.
-
-:meth:`Engine.run_batch` is the serving layer's single entry point; it
-dispatches to the packed path automatically whenever the engine implements
-it and the batch has more than one member.
+:meth:`Engine.run` loops the layers of one ``(s, d_model)`` sequence,
+launching costed kernels into a fresh timeline. :meth:`Engine.run_batch`,
+the serving layer's single entry point, validates a whole batch and then
+runs each member through that same path in order.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,18 +17,21 @@ import numpy as np
 from repro.gpu.counters import Timeline
 from repro.gpu.device import DeviceSpec, default_device
 from repro.ops.context import ExecContext
-from repro.runtime.plan import (
-    PLAN_CACHE,
-    LayerPlan,
-    PackedLayer,
-    capture_plan,
-    engine_fingerprint,
-    mask_fingerprint,
-    pack_layer_weights,
-    plan_key,
-    replay_records,
-)
 from repro.runtime.weights import EncoderWeights
+
+
+def mask_fingerprint(mask: np.ndarray | None) -> str | None:
+    """Stable digest of an additive mask (``None`` stays ``None``).
+
+    Used as the :meth:`Engine.latency_us` memoization key component: two
+    probes with bytewise-equal masks share one cached latency.
+    """
+    if mask is None:
+        return None
+    m = np.ascontiguousarray(np.asarray(mask))
+    h = hashlib.sha256(repr((m.shape, m.dtype.str)).encode())
+    h.update(m.tobytes())
+    return h.hexdigest()[:32]
 
 
 @dataclass
@@ -60,14 +52,11 @@ class Engine:
     """Base inference engine: runs an encoder stack over one sequence.
 
     Subclasses implement :meth:`make_ctx` (precision/pattern policy) and
-    :meth:`run_layer` (kernel schedule); optionally
-    :meth:`_run_layer_packed` (the batched numerics twin of the schedule,
-    which unlocks :meth:`run_packed`). ``run`` drives the stack and
+    :meth:`run_layer` (kernel schedule); ``run`` drives the stack and
     collects the timeline.
 
     Weights are treated as frozen once the engine is constructed — sparse
-    formats, packed stacks, the plan fingerprint and the latency-probe
-    cache are all derived from them exactly once.
+    formats and the latency-probe cache are derived from them exactly once.
     """
 
     name = "base"
@@ -76,8 +65,6 @@ class Engine:
                  device: DeviceSpec | None = None) -> None:
         self.weights = weights
         self.device = device or default_device()
-        self._plan_fingerprint: str | None = None
-        self._packed_weights: list[PackedLayer] | None = None
         self._latency_cache: dict[tuple, float] = {}
         self._compile()
 
@@ -95,54 +82,14 @@ class Engine:
         """Execute one encoder layer, recording its kernels into ``ctx``."""
         raise NotImplementedError  # pragma: no cover
 
-    def _run_layer_packed(self, xb: np.ndarray, layer_idx: int,
-                          mask_b: np.ndarray | None,
-                          plan: LayerPlan) -> np.ndarray:
-        """Batched numerics twin of :meth:`run_layer` over ``(B, s, d)``.
-
-        Launches nothing: cost provenance comes from the plan's replayed
-        record template. Must mirror the serial schedule's floating-point
-        op order exactly — outputs are required to be bitwise equal.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no packed layer schedule"
-        )
-
     # -- derived, cached state -----------------------------------------------
 
-    @property
-    def supports_packed(self) -> bool:
-        """Whether this engine implements the packed batch path."""
-        return type(self)._run_layer_packed is not Engine._run_layer_packed
-
-    def plan_fingerprint(self) -> str:
-        """The engine's plan-cache identity (weights + knobs), computed once."""
-        if self._plan_fingerprint is None:
-            self._plan_fingerprint = engine_fingerprint(self)
-        return self._plan_fingerprint
-
-    @property
-    def packed_weights(self) -> list[PackedLayer]:
-        """Per-layer packed weight stacks, built lazily once per engine."""
-        if self._packed_weights is None:
-            self._packed_weights = [
-                self._pack_layer(i) for i in range(len(self.weights.layers))
-            ]
-        return self._packed_weights
-
-    def _pack_layer(self, layer_idx: int) -> PackedLayer:
-        """Build one layer's packed stacks (subclasses may extend)."""
-        return pack_layer_weights(self.weights.layers[layer_idx],
-                                  self.weights.config.num_heads)
-
     def clear_caches(self) -> None:
-        """Forget derived state (fingerprint, packed stacks, latency memo).
+        """Forget derived state (the latency memo).
 
         Only needed if weights are mutated after construction, which also
         requires re-running :meth:`_compile`; normal use never calls this.
         """
-        self._plan_fingerprint = None
-        self._packed_weights = None
         self._latency_cache.clear()
 
     # -- validation ------------------------------------------------------------
@@ -165,14 +112,29 @@ class Engine:
     ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
         """Validate and convert a whole batch exactly once.
 
-        Both batch entry points share this, so inputs are converted here
-        and *threaded through* — :meth:`_run_prepared` never re-converts
-        (the double ``asarray`` the old ``run_batch``→``run`` pair paid).
+        Inputs are converted here and *threaded through* —
+        :meth:`_run_prepared` never re-converts. Each mask must broadcast
+        against its own member's ``(H, s, s)`` attention scores.
         """
         if masks is not None and len(masks) != len(xs):
             raise ValueError(f"got {len(xs)} inputs but {len(masks)} masks")
         coerced = [self._coerce(x, item=i) for i, x in enumerate(xs)]
         mask_list = list(masks) if masks is not None else [None] * len(coerced)
+        h = self.weights.config.num_heads
+        for i, (x, m) in enumerate(zip(coerced, mask_list)):
+            if m is None:
+                continue
+            scores = (h, x.shape[0], x.shape[0])
+            shape = np.shape(m)
+            try:
+                ok = np.broadcast_shapes(shape, scores) == scores
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"batch item {i}: mask of shape {shape} does not "
+                    f"broadcast to the {scores} attention scores"
+                )
         return coerced, mask_list
 
     # -- driving -----------------------------------------------------------------
@@ -197,29 +159,20 @@ class Engine:
         self,
         xs: Sequence[np.ndarray],
         masks: Sequence[np.ndarray | None] | None = None,
-        packed: bool | None = None,
     ) -> tuple[list[EngineResult], Timeline]:
         """Run a batch of sequences; the serving batcher's only engine API.
 
-        Validates every input shape up front (so a malformed request cannot
-        fail the batch half-way through) and returns the per-request results
-        plus one aggregated :class:`Timeline` whose total time is the
-        batch's service time on the cost model's serial stream. Each
+        Validates every input and mask up front (so a malformed request
+        cannot fail the batch half-way through), then runs each member in
+        order through the same path as :meth:`run`. Returns the per-request
+        results plus one aggregated :class:`Timeline` whose total time is
+        the batch's service time on the cost model's serial stream. Each
         member's records are wrapped in a ``request{i}`` region on merge, so
         the aggregate keeps per-request provenance (``time_by_region``
         yields ``request0/layer1`` labels and batch traces attribute kernels
         to requests).
-
-        ``packed`` selects the execution path: ``None`` (default) uses the
-        packed path whenever the engine supports it and the batch has more
-        than one member, ``True``/``False`` force one side. Both paths
-        produce bitwise-identical results.
         """
         coerced, mask_list = self._coerce_batch(xs, masks)
-        if packed is None:
-            packed = self.supports_packed and len(coerced) > 1
-        if packed:
-            return self._run_packed_prepared(coerced, mask_list)
         agg = Timeline(self.device)
         results = []
         for i, x in enumerate(coerced):
@@ -227,88 +180,6 @@ class Engine:
             results.append(res)
             agg.merge(res.timeline, prefix=f"request{i}")
         return results, agg
-
-    # -- packed path ------------------------------------------------------------
-
-    def run_packed(
-        self,
-        xs: Sequence[np.ndarray],
-        masks: Sequence[np.ndarray | None] | None = None,
-    ) -> tuple[list[EngineResult], Timeline]:
-        """Packed batch execution: identical results, batched numerics.
-
-        Members are grouped by ``(seq_len, mask shape)``; each group is
-        stacked into one ``(B, s, d_model)`` tensor and driven through the
-        batched layer schedules in a single pass, with attention vectorized
-        over batch *and* heads. Per-request timelines replay the group's
-        compiled :class:`~repro.runtime.plan.LayerPlan` template, so
-        outputs, latencies and traces are byte-identical to
-        ``run_batch(..., packed=False)``. A group whose plan is not cached
-        runs its first member serially and freezes that run as the plan;
-        the rest of the group then runs packed.
-        """
-        coerced, mask_list = self._coerce_batch(xs, masks)
-        return self._run_packed_prepared(coerced, mask_list)
-
-    def _run_packed_prepared(
-        self,
-        xs: list[np.ndarray],
-        masks: list[np.ndarray | None],
-    ) -> tuple[list[EngineResult], Timeline]:
-        groups: dict[tuple[int, tuple[int, ...] | None], list[int]] = {}
-        for i, (x, m) in enumerate(zip(xs, masks)):
-            shape = None if m is None else tuple(np.asarray(m).shape)
-            groups.setdefault((x.shape[0], shape), []).append(i)
-
-        results: list[EngineResult | None] = [None] * len(xs)
-        for (seq_len, mask_shape), members in groups.items():
-            if seq_len == 1:
-                # A one-row product goes to BLAS gemv; stacked, the same
-                # rows would go to gemm, which rounds differently.
-                for i in members:
-                    results[i] = self._run_prepared(xs[i], masks[i])
-                continue
-            key = plan_key(self, seq_len, mask_shape)
-            plan = PLAN_CACHE.lookup(key)
-            if plan is None:
-                # The first member's own serial run is the template: its
-                # records are what any input of this shape launches.
-                first, *members = members
-                ref = self._run_prepared(xs[first], masks[first])
-                results[first] = ref
-                plan = capture_plan(self, key, ref)
-                PLAN_CACHE.insert(key, plan)
-                if not members:
-                    continue
-            xb = np.stack([xs[i] for i in members])
-            mask_b = None
-            if mask_shape is not None:
-                stacked = np.stack([np.asarray(masks[i]) for i in members])
-                # (B, 1, *mask_shape): broadcasts against (B, H, s, s)
-                # scores exactly as the serial (s, s) mask broadcasts
-                # against (H, s, s).
-                mask_b = stacked.reshape(len(members), 1, *mask_shape)
-            yb = self._forward_packed(xb, mask_b, plan)
-            for j, i in enumerate(members):
-                tl = Timeline(self.device)
-                replay_records(plan, tl)
-                results[i] = EngineResult(
-                    output=yb[j], timeline=tl, choices=dict(plan.choices)
-                )
-
-        agg = Timeline(self.device)
-        done = [res for res in results if res is not None]
-        for i, res in enumerate(done):
-            agg.merge(res.timeline, prefix=f"request{i}")
-        return done, agg
-
-    def _forward_packed(self, xb: np.ndarray, mask_b: np.ndarray | None,
-                        plan: LayerPlan) -> np.ndarray:
-        """Drive all layers of one packed group through the batched schedule."""
-        y = xb
-        for i in range(len(self.weights.layers)):
-            y = self._run_layer_packed(y, i, mask_b, plan)
-        return y
 
     # -- probing ----------------------------------------------------------------
 

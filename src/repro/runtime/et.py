@@ -25,21 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attention.adaptive import packed_select_attention, select_attention
+from repro.attention.adaptive import select_attention
 from repro.attention.precompute import (
     condense_folded,
     fold_vo,
-    packed_precomputed_attention,
-    packed_precomputed_vside,
     precomputed_vside,
     select_attention_precomputed,
 )
-from repro.attention.reference import packed_split_heads, split_heads
+from repro.attention.reference import split_heads
 from repro.gpu.counters import Timeline
 from repro.gpu.kernel import MemPattern
 from repro.ops.context import ExecContext
-from repro.ops.gemm import gemm_bias_act, packed_gemm_bias_act
-from repro.ops.layernorm import layer_norm_op, packed_layer_norm
+from repro.ops.gemm import gemm_bias_act
+from repro.ops.layernorm import layer_norm_op
 from repro.ops.sparse_gemm import (
     col_pruned_gemm,
     irregular_gemm,
@@ -287,117 +285,3 @@ class ETEngine(Engine):
         return self._linear(ctx, hdn, layer_idx, "fc2", lw.fc2_b,
                             residual=y, ln=(lw.ln2_g, lw.ln2_b), tag="mlp")
 
-    # -- packed schedules ---------------------------------------------------------
-
-    def _pack_layer(self, layer_idx):
-        """Attach the compiled fold to the packed stacks (no recomputation)."""
-        pl = super()._pack_layer(layer_idx)
-        compiled = self._layers[layer_idx]
-        pl.m_heads = compiled.m_heads
-        pl.b_fold = compiled.b_fold
-        return pl
-
-    def _scratch_ctx(self) -> ExecContext:
-        """Throwaway context for reusing the sparse numerics single-sourced.
-
-        The sparse GEMMs compute through their format objects
-        (:meth:`TileBCSR.matmul` etc.), which the packed path must reuse
-        rather than duplicate; their launches land on this discarded
-        timeline while real cost provenance replays from the plan.
-        """
-        return self.make_ctx(Timeline(self.device))
-
-    def _run_layer_packed(self, xb, layer_idx, mask_b, plan):
-        """Batched twin of :meth:`run_layer` over ``(B, s, d_model)``."""
-        if not self.sparse_mode:
-            return self._run_dense_layer_packed(xb, layer_idx, mask_b, plan)
-        if self.precompute:
-            return self._run_precomputed_layer_packed(xb, layer_idx, mask_b,
-                                                      plan)
-        return self._run_sparse_layer_packed(xb, layer_idx, mask_b, plan)
-
-    def _run_dense_layer_packed(self, xb, layer_idx, mask_b, plan):
-        lw = self.weights.layers[layer_idx]
-        pl = plan.packed[layer_idx]
-        d = self.weights.config.d_model
-        h = self.weights.config.num_heads
-
-        qkv = packed_gemm_bias_act(xb, pl.qkv_wt, pl.qkv_b)
-        # The full/partial decision was made (and its cost charged) at
-        # plan-compile time; here it is a dict lookup, not two scratch runs.
-        z = packed_select_attention(
-            packed_split_heads(qkv[..., :d], h),
-            packed_split_heads(qkv[..., d:2 * d], h),
-            packed_split_heads(qkv[..., 2 * d:], h),
-            mask_b, choice=plan.attention_choice(layer_idx),
-            device=self.device,
-        )
-
-        y = packed_gemm_bias_act(z, pl.wo_t, lw.bo, residual=xb,
-                                 ln_gamma=lw.ln1_g, ln_beta=lw.ln1_b)
-        hdn = packed_gemm_bias_act(y, pl.fc1_t, lw.fc1_b, act="gelu")
-        return packed_gemm_bias_act(hdn, pl.fc2_t, lw.fc2_b, residual=y,
-                                    ln_gamma=lw.ln2_g, ln_beta=lw.ln2_b)
-
-    def _run_sparse_layer_packed(self, xb, layer_idx, mask_b, plan):
-        lw = self.weights.layers[layer_idx]
-        compiled = self._layers[layer_idx]
-        h = self.weights.config.num_heads
-        d = self.weights.config.d_model
-        scratch = self._scratch_ctx()
-
-        if compiled.qk_fused is not None:
-            qk = tile_gemm(scratch, xb, compiled.qk_fused,
-                           bias=compiled.qk_bias, name="qk_fused_tile",
-                           tag="step1_qkv")
-            q, k = qk[..., :d], qk[..., d:]
-        else:
-            q = self._linear(scratch, xb, layer_idx, "wq", lw.bq,
-                             tag="step1_qkv")
-            k = self._linear(scratch, xb, layer_idx, "wk", lw.bk,
-                             tag="step1_qkv")
-        v = self._linear(scratch, xb, layer_idx, "wv", lw.bv,
-                         masked_full=True, tag="step1_qkv")
-
-        # Same cost-only effective V width the serial compile pass handed
-        # to select_attention — flash tile selection must see equal inputs
-        # for the packed numerics to stay bitwise equal to serial.
-        eff_vw = (max(1, math.ceil(compiled.v_kept / h))
-                  if compiled.v_kept is not None else None)
-        z = packed_select_attention(
-            packed_split_heads(q, h), packed_split_heads(k, h),
-            packed_split_heads(v, h), mask_b,
-            choice=plan.attention_choice(layer_idx),
-            device=self.device, effective_v_width=eff_vw,
-        )
-
-        y = self._linear(scratch, z, layer_idx, "wo", lw.bo,
-                         active_input_cols=compiled.v_kept,
-                         residual=xb, ln=(lw.ln1_g, lw.ln1_b),
-                         tag="step7_output")
-        hdn = self._linear(scratch, y, layer_idx, "fc1", lw.fc1_b,
-                           act="gelu", tag="mlp")
-        return self._linear(scratch, hdn, layer_idx, "fc2", lw.fc2_b,
-                            residual=y, ln=(lw.ln2_g, lw.ln2_b), tag="mlp")
-
-    def _run_precomputed_layer_packed(self, xb, layer_idx, mask_b, plan):
-        lw = self.weights.layers[layer_idx]
-        compiled = self._layers[layer_idx]
-        h, d = self.weights.config.num_heads, self.weights.config.d_model
-        scratch = self._scratch_ctx()
-
-        q = self._linear(scratch, xb, layer_idx, "wq", lw.bq, tag="step1_qkv")
-        k = self._linear(scratch, xb, layer_idx, "wk", lw.bk, tag="step1_qkv")
-
-        xm = packed_precomputed_vside(xb, compiled.m_heads)
-        out = packed_precomputed_attention(
-            packed_split_heads(q, h), packed_split_heads(k, h), xm,
-            out_features=d, kept_cols=compiled.m_kept_cols, mask=mask_b,
-        )
-        out = out + compiled.b_fold
-
-        y = packed_layer_norm(out, lw.ln1_g, lw.ln1_b, residual=xb)
-        hdn = self._linear(scratch, y, layer_idx, "fc1", lw.fc1_b,
-                           act="gelu", tag="mlp")
-        return self._linear(scratch, hdn, layer_idx, "fc2", lw.fc2_b,
-                            residual=y, ln=(lw.ln2_g, lw.ln2_b), tag="mlp")

@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.fused import fused_attention, packed_fused_attention
-from repro.attention.reference import (
-    merge_heads,
-    packed_merge_heads,
-    packed_split_heads,
-    split_heads,
-)
+from repro.attention.fused import fused_attention
+from repro.attention.reference import merge_heads, split_heads
 from repro.gpu.counters import Timeline
 from repro.gpu.kernel import MemPattern
 from repro.ops.context import ExecContext
-from repro.ops.gemm import gemm_bias_act, packed_gemm_bias_act
+from repro.ops.gemm import gemm_bias_act
 from repro.runtime.autotune import autotune_gemm_algo
 from repro.runtime.engine import Engine
 
@@ -79,27 +74,3 @@ class FasterTransformerLikeEngine(Engine):
             algo=self._algo(s, d, f), name="fc2_bias_ln", tag="mlp",
         )
 
-    def _run_layer_packed(self, xb, layer_idx, mask_b, plan):
-        """Batched twin of :meth:`run_layer` over ``(B, s, d_model)``.
-
-        Autotuned algorithm picks only affect costs, which replay from
-        ``plan`` — the numerics are algorithm-independent.
-        """
-        lw = self.weights.layers[layer_idx]
-        pl = plan.packed[layer_idx]
-        d = self.weights.config.d_model
-        h = self.weights.config.num_heads
-
-        qkv = packed_gemm_bias_act(xb, pl.qkv_wt, pl.qkv_b)
-        z = packed_merge_heads(packed_fused_attention(
-            packed_split_heads(qkv[..., :d], h),
-            packed_split_heads(qkv[..., d:2 * d], h),
-            packed_split_heads(qkv[..., 2 * d:], h),
-            mask_b,
-        ))
-
-        y = packed_gemm_bias_act(z, pl.wo_t, lw.bo, residual=xb,
-                                 ln_gamma=lw.ln1_g, ln_beta=lw.ln1_b)
-        hdn = packed_gemm_bias_act(y, pl.fc1_t, lw.fc1_b, act="gelu")
-        return packed_gemm_bias_act(hdn, pl.fc2_t, lw.fc2_b, residual=y,
-                                    ln_gamma=lw.ln2_g, ln_beta=lw.ln2_b)

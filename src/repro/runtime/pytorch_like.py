@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.reference import packed_merge_heads, packed_split_heads
-from repro.attention.unfused import packed_unfused_attention, unfused_attention
+from repro.attention.unfused import unfused_attention
 from repro.gpu.counters import Timeline
 from repro.gpu.kernel import MemPattern
 from repro.ops.context import ExecContext
 from repro.ops.elementwise import add_bias, gelu_op, residual_add, untranspose_heads
-from repro.ops.gemm import GemmAlgo, gemm, packed_gemm_bias_act
-from repro.ops.layernorm import layer_norm_op, packed_layer_norm
+from repro.ops.gemm import GemmAlgo, gemm
+from repro.ops.layernorm import layer_norm_op
 from repro.runtime.engine import Engine
 
 
@@ -71,29 +70,3 @@ class PyTorchLikeEngine(Engine):
         h = residual_add(ctx, h, y, tag="add_ln")
         return layer_norm_op(ctx, h, lw.ln2_g, lw.ln2_b, tag="add_ln")
 
-    def _run_layer_packed(self, xb, layer_idx, mask_b, plan):
-        """Batched twin of :meth:`run_layer` over ``(B, s, d_model)``.
-
-        Same floating-point schedule, vectorized over batch and heads; all
-        cost provenance replays from ``plan``.
-        """
-        lw = self.weights.layers[layer_idx]
-        pl = plan.packed[layer_idx]
-        heads = self.weights.config.num_heads
-
-        q = packed_gemm_bias_act(xb, pl.wq_t, lw.bq)
-        k = packed_gemm_bias_act(xb, pl.wk_t, lw.bk)
-        v = packed_gemm_bias_act(xb, pl.wv_t, lw.bv)
-
-        zh = packed_unfused_attention(
-            packed_split_heads(q, heads), packed_split_heads(k, heads),
-            packed_split_heads(v, heads), mask_b,
-        )
-        z = packed_merge_heads(zh)
-
-        out = packed_gemm_bias_act(z, pl.wo_t, lw.bo)
-        y = packed_layer_norm(out, lw.ln1_g, lw.ln1_b, residual=xb)
-
-        h = packed_gemm_bias_act(y, pl.fc1_t, lw.fc1_b, act="gelu")
-        h = packed_gemm_bias_act(h, pl.fc2_t, lw.fc2_b)
-        return packed_layer_norm(h, lw.ln2_g, lw.ln2_b, residual=y)

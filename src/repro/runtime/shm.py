@@ -206,8 +206,8 @@ class SharedWeightStore:
         """Reconstruct the full stack as read-only zero-copy views.
 
         Engines treat weights as frozen after construction, so read-only
-        views satisfy every engine (sparse-format compilation, packed
-        stacks and fingerprints all only *read* the arrays).
+        views satisfy every engine (sparse-format compilation and the
+        fused QKV stacks only *read* the arrays).
         """
         if self._shm is None:
             raise ValueError("store is closed")

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.fused import fused_attention, packed_fused_attention
-from repro.attention.reference import (
-    merge_heads,
-    packed_merge_heads,
-    packed_split_heads,
-    split_heads,
-)
+from repro.attention.fused import fused_attention
+from repro.attention.reference import merge_heads, split_heads
 from repro.gpu.counters import Timeline
 from repro.gpu.kernel import MemPattern
 from repro.ops.context import ExecContext
-from repro.ops.gemm import GemmAlgo, gemm_bias_act, packed_gemm_bias_act
-from repro.ops.layernorm import layer_norm_op, packed_layer_norm
+from repro.ops.gemm import GemmAlgo, gemm_bias_act
+from repro.ops.layernorm import layer_norm_op
 from repro.runtime.engine import Engine
 
 
@@ -77,24 +72,3 @@ class TensorRTLikeEngine(Engine):
         return layer_norm_op(ctx, out2, lw.ln2_g, lw.ln2_b, residual=y,
                              tag="add_ln")
 
-    def _run_layer_packed(self, xb, layer_idx, mask_b, plan):
-        """Batched twin of :meth:`run_layer` over ``(B, s, d_model)``."""
-        lw = self.weights.layers[layer_idx]
-        pl = plan.packed[layer_idx]
-        d = self.weights.config.d_model
-        h = self.weights.config.num_heads
-
-        qkv = packed_gemm_bias_act(xb, pl.qkv_wt, pl.qkv_b)
-        z = packed_merge_heads(packed_fused_attention(
-            packed_split_heads(qkv[..., :d], h),
-            packed_split_heads(qkv[..., d:2 * d], h),
-            packed_split_heads(qkv[..., 2 * d:], h),
-            mask_b,
-        ))
-
-        out = packed_gemm_bias_act(z, pl.wo_t, lw.bo)
-        y = packed_layer_norm(out, lw.ln1_g, lw.ln1_b, residual=xb)
-
-        hdn = packed_gemm_bias_act(y, pl.fc1_t, lw.fc1_b, act="gelu")
-        out2 = packed_gemm_bias_act(hdn, pl.fc2_t, lw.fc2_b)
-        return packed_layer_norm(out2, lw.ln2_g, lw.ln2_b, residual=y)

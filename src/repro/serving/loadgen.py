@@ -36,7 +36,6 @@ from repro.eval.format import percentile_rows, render_table
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.slo import SloPolicy
 from repro.pruning import PruneMethod
-from repro.runtime.plan import PLAN_CACHE
 from repro.runtime import (
     EncoderWeights,
     ETEngine,
@@ -89,7 +88,6 @@ class LoadgenSpec:
     max_batch: int = 8
     max_wait_us: float = 2_000.0
     max_depth: int = 64
-    packed: bool | None = None  # None = engine decides (packed when able)
     #: SLO budget: ``None`` = no deadlines, ``0`` = per-bucket defaults
     #: priced by the cost model, ``> 0`` = one fixed budget in us.
     slo_us: float | None = None
@@ -287,8 +285,7 @@ def run_loadgen(spec: LoadgenSpec,
     slo = make_slo_policy(spec, engine, policy)
     batcher = DynamicBatcher(policy, max_batch=spec.max_batch,
                              max_wait_us=spec.max_wait_us)
-    workers = [EngineWorker(engine, packed=spec.packed,
-                            payload_table=payloads)
+    workers = [EngineWorker(engine, payload_table=payloads)
                for _ in range(spec.workers)]
     sched = Scheduler(
         workers=workers, batcher=batcher, max_depth=spec.max_depth,
@@ -299,7 +296,6 @@ def run_loadgen(spec: LoadgenSpec,
     else:
         responses = sched.run(open_loop_arrivals(spec, payloads, slo=slo))
 
-    sched.metrics.observe_plan_cache(PLAN_CACHE.stats(), source="scheduler")
     result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,
                            responses=responses, metrics=sched.metrics,
                            engine=engine, slo=slo)

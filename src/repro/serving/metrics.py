@@ -35,9 +35,6 @@ class MetricsRegistry:
         self.completed = 0
         self.rejected = 0
         self.served_seq_tokens = 0
-        #: Latest cumulative plan-cache counters per source (engine process
-        #: or replica); sources *replace* their entry on each observation.
-        self.plan_cache: dict[str, dict[str, float]] = {}
         self.window = window or WindowedMetrics()
         self.slo = SloTracker()
         self._first_arrival_us: float | None = None
@@ -75,18 +72,6 @@ class MetricsRegistry:
     def observe_queue_depth(self, depth: int) -> None:
         """Sample the queue depth (taken at each admission)."""
         self.queue_depths.append(depth)
-
-    def observe_plan_cache(self, stats: dict[str, int],
-                           source: str = "main") -> None:
-        """Record one source's *cumulative* plan-cache counters.
-
-        ``stats`` is a :meth:`repro.runtime.plan.PlanCache.stats` dict
-        (``size``/``hits``/``misses``/``evictions``). Counters are
-        cumulative per source, so re-observing the same source replaces
-        its entry rather than summing increments; the snapshot sums
-        *across* sources (each pool replica is its own source).
-        """
-        self.plan_cache[source] = {k: float(v) for k, v in stats.items()}
 
     # ---- aggregates -------------------------------------------------------
 
@@ -149,9 +134,6 @@ class MetricsRegistry:
                 self.latency_percentile_us(p) if self.latencies_us else 0.0)
         out["mean_queue_us"] = (
             sum(self.queue_us) / len(self.queue_us) if self.queue_us else 0.0)
-        for key in ("hits", "misses", "evictions", "size"):
-            out[f"plan_cache_{key}"] = float(sum(
-                s.get(key, 0.0) for s in self.plan_cache.values()))
         out["slo_total"] = float(self.slo.total)
         out["slo_met"] = float(self.slo.met)
         out["slo_attainment"] = self.slo.attainment

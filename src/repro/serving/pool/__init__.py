@@ -2,9 +2,9 @@
 
 The pool is the serving stack's horizontal scale-out backend: N replica
 processes attach one read-only shared-memory weight segment
-(:mod:`repro.runtime.shm`), each builds a private engine + plan cache,
-and a load-aware :class:`Router` spreads length-bucketed batches across
-them with outstanding-cost accounting, work stealing, and per-tenant
+(:mod:`repro.runtime.shm`), each builds a private engine, and a
+load-aware :class:`Router` spreads length-bucketed batches across them
+with outstanding-cost accounting, work stealing, and per-tenant
 admission quotas. :class:`PoolServer` exposes the whole thing behind the
 :class:`~repro.serving.server.AsyncServer` interface, so every driver
 (CLI ``serve``/``loadgen``, benches, tests) picks a backend with one

@@ -17,9 +17,10 @@ Division of labour (three parent threads, N replica processes):
   ``pipeline_depth`` in flight per replica — batches still in a backlog
   remain stealable, which is how seqLen-bucket skew resolves;
 - the **collector** thread consumes one shared result queue: it settles
-  router accounting, resolves futures, folds replica plan-cache counters
-  into the metrics registry, and reaps dead replicas (their unfinished
-  batches are re-booked onto survivors, or rejected when none remain).
+  router accounting, resolves futures, records each replica's cumulative
+  counters for :meth:`pool_snapshot`, and reaps dead replicas (their
+  unfinished batches are re-booked onto survivors, or rejected when none
+  remain).
 
 Responses are bitwise-identical to the AsyncServer's because engine
 outputs depend only on the input sequence — never on batch composition,
@@ -80,7 +81,6 @@ class PoolServer(LiveServer):
         max_inflight_per_tenant: int | None = None,
         tenant_quotas: dict[int, int] | None = None,
         payload_table: dict[int, np.ndarray] | None = None,
-        packed: bool | None = None,
         pipeline_depth: int = 2,
         return_outputs: bool = True,
         start_timeout_s: float = 120.0,
@@ -97,7 +97,6 @@ class PoolServer(LiveServer):
         self.engine = engine  # parent-side: weights, name, cost pricing
         self.n_workers = n_workers
         self.payload_table = payload_table
-        self.packed = packed
         self.pipeline_depth = pipeline_depth
         self.return_outputs = return_outputs
         self.start_timeout_s = start_timeout_s
@@ -160,7 +159,7 @@ class PoolServer(LiveServer):
                 self._procs[rid] = self._ctx.Process(
                     target=replica_main,
                     args=(rid, self._store.manifest, self.engine.name, tq,
-                          self._result_q, self.payload_table, self.packed),
+                          self._result_q, self.payload_table),
                     name=f"pool-replica-{rid}", daemon=True)
             procs = list(self._procs.values())
         try:
@@ -438,9 +437,6 @@ class PoolServer(LiveServer):
 
     def _record_goodbye(self, msg: WorkerGoodbye) -> None:
         with self._work:
-            if msg.plan_stats:
-                self._core.metrics.observe_plan_cache(
-                    msg.plan_stats, source=f"replica{msg.worker_id}")
             self._replica_counters[msg.worker_id] = {
                 "busy_us": msg.busy_us, "batches": float(msg.batches_run)}
             self._work.notify_all()
@@ -451,9 +447,6 @@ class PoolServer(LiveServer):
             if entry is not None:
                 rid, batch, start = entry
                 self._inpipe[rid] = max(0, self._inpipe.get(rid, 1) - 1)
-                if result.plan_stats:
-                    self._core.metrics.observe_plan_cache(
-                        result.plan_stats, source=f"replica{rid}")
                 if result.counters:
                     self._replica_counters[result.worker_id] = \
                         dict(result.counters)
@@ -561,7 +554,7 @@ def build_pool_server(
     server = PoolServer(
         engine, policy, n_workers=n_workers, max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us, max_depth=spec.max_depth,
-        payload_table=payloads, packed=spec.packed,
+        payload_table=payloads,
         return_outputs=return_outputs,
         max_inflight_per_tenant=max_inflight_per_tenant,
         events=events, slo=make_slo_policy(spec, engine, policy),

@@ -2,16 +2,15 @@
 
 One :func:`replica_main` runs per pool replica (spawned process). It maps
 the parent's :class:`~repro.runtime.shm.WeightManifest` into zero-copy
-read-only weight views and builds its *own* engine on them — so each
-replica has a private plan cache (:data:`~repro.runtime.plan.PLAN_CACHE`
-is process-wide) — then loops: take a :class:`BatchTask` off its task
-queue, run it through an :class:`~repro.serving.scheduler.EngineWorker`
-that memoizes the payload-table entries, and ship a :class:`BatchResult`
-back on the shared result queue.
+read-only weight views and builds its *own* engine on them, then loops:
+take a :class:`BatchTask` off its task queue, run it through an
+:class:`~repro.serving.scheduler.EngineWorker` that memoizes the
+payload-table entries, and ship a :class:`BatchResult` back on the shared
+result queue.
 
 Determinism: a batch's outputs and cost-model latencies are a pure
-function of its inputs (the packed path is bitwise-equal to serial and
-independent of batch composition), so results do not depend on which
+function of its inputs (each member runs on its own, independent of
+batch composition), so results do not depend on which
 replica ran the batch, how batches interleaved, or how many workers the
 pool has — the property the pool determinism tests pin down.
 
@@ -30,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.runtime.plan import PLAN_CACHE
 from repro.runtime.shm import SharedWeightStore, WeightManifest
 from repro.serving.batcher import Batch
 from repro.serving.request import Request
@@ -74,8 +72,6 @@ class BatchResult:
     batch_id: int
     service_us: float
     outputs: list[np.ndarray] | None
-    #: The replica's process-wide plan-cache counters after this batch.
-    plan_stats: dict[str, int] = field(default_factory=dict)
     #: Cumulative replica counters after this batch (``busy_us``,
     #: ``batches``): the event/counter delta channel the flight recorder
     #: and pool Prometheus series aggregate — cumulative, so a lost or
@@ -91,7 +87,6 @@ class WorkerGoodbye:
     worker_id: int
     batches_run: int
     busy_us: float
-    plan_stats: dict[str, int] = field(default_factory=dict)
 
 
 def worker_counters(worker: EngineWorker) -> dict[str, float]:
@@ -125,22 +120,20 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
     except Exception as exc:  # report, don't kill the replica
         return BatchResult(
             worker_id=worker_id, batch_id=task.batch_id, service_us=0.0,
-            outputs=None, plan_stats=PLAN_CACHE.stats(),
+            outputs=None,
             counters=worker_counters(worker),
             error=f"{type(exc).__name__}: {exc}")
     return BatchResult(
         worker_id=worker_id, batch_id=task.batch_id, service_us=service_us,
         outputs=[res.output for res in results] if task.return_outputs
         else None,
-        plan_stats=PLAN_CACHE.stats(),
         counters=worker_counters(worker),
     )
 
 
 def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
                  task_q: "MpQueue", result_q: "MpQueue",
-                 payload_table: dict[int, np.ndarray] | None = None,
-                 packed: bool | None = None) -> None:
+                 payload_table: dict[int, np.ndarray] | None = None) -> None:
     """Entry point of one replica process (spawn target).
 
     Attaches the shared weight segment, builds the engine over read-only
@@ -159,8 +152,7 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
         engine = ENGINE_CLASSES[engine_name](store.weights())
         # A resolved payload-table reference *is* the table's array, so
         # the worker's memo serves exactly the table payloads.
-        worker = EngineWorker(engine, packed=packed,
-                              payload_table=payload_table)
+        worker = EngineWorker(engine, payload_table=payload_table)
         result_q.put(WorkerHello(worker_id=worker_id))
         while True:
             try:
@@ -172,6 +164,6 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
             result_q.put(run_task(task, worker, worker_id, payload_table))
         result_q.put(WorkerGoodbye(
             worker_id=worker_id, batches_run=worker.batches_run,
-            busy_us=worker.busy_us, plan_stats=PLAN_CACHE.stats()))
+            busy_us=worker.busy_us))
     finally:
         store.close()

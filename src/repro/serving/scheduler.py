@@ -36,17 +36,11 @@ class EngineWorker:
     any other input of the same length still runs on the engine — a
     200-request sweep becomes O(unique lengths) engine executions without
     changing a single reported number.
-
-    ``packed`` is forwarded to :meth:`Engine.run_batch`: ``None`` (default)
-    lets the engine use its packed batch path whenever it has one, and the
-    batcher's buckets pass through whole — both paths produce bitwise
-    identical results, so reports do not depend on the setting.
     """
 
-    def __init__(self, engine: Engine, packed: bool | None = None,
+    def __init__(self, engine: Engine,
                  payload_table: dict[int, np.ndarray] | None = None) -> None:
         self.engine = engine
-        self.packed = packed
         self.payload_table = payload_table
         self._memo: dict[int, EngineResult] = {}
         self.batches_run = 0
@@ -56,8 +50,7 @@ class EngineWorker:
         """Run one batch; returns per-request results and service time (us)."""
         reqs = batch.requests
         if self.payload_table is None:
-            results, agg = self.engine.run_batch(
-                [r.x for r in reqs], packed=self.packed)
+            results, agg = self.engine.run_batch([r.x for r in reqs])
             service_us = agg.total_time_us
         else:
             results = self._memoized(reqs, self.payload_table)
@@ -72,8 +65,7 @@ class EngineWorker:
         todo = {r.seq_len: r for r, hit in zip(reqs, hits)
                 if hit and r.seq_len not in self._memo}
         if todo:
-            results, _ = self.engine.run_batch(
-                [r.x for r in todo.values()], packed=self.packed)
+            results, _ = self.engine.run_batch([r.x for r in todo.values()])
             self._memo.update(zip(todo, results))
         return [self._memo[r.seq_len] if hit else self.engine.run(r.x)
                 for r, hit in zip(reqs, hits)]

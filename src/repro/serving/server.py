@@ -28,7 +28,6 @@ from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.obs.prometheus import prometheus_text
 from repro.obs.slo import SloPolicy
 from repro.runtime.engine import Engine
-from repro.runtime.plan import PLAN_CACHE
 from repro.serving.batcher import Batch, DynamicBatcher
 from repro.serving.bucketing import BucketPolicy
 from repro.serving.core import ServingCore
@@ -224,9 +223,6 @@ class AsyncServer(LiveServer):
     def metrics_text(self) -> str:
         """The live metrics as one Prometheus exposition page (scrapable)."""
         with self._work:
-            # Engine threads share this process's plan cache: one source.
-            self._core.metrics.observe_plan_cache(PLAN_CACHE.stats(),
-                                                  source="server")
             return prometheus_text(self._core.metrics)
 
     def _worker_loop(self, w_idx: int, worker: EngineWorker) -> None:

@@ -250,10 +250,10 @@ class TileBCSR:
         ``x`` is transposed once to ``(in, n)``, so a slab's gather copies
         contiguous rows and ``n`` is BLAS's column-major N dimension. Rows
         run in blocks sized per slab to keep every call within
-        ``_GEMM_MACS``; no block has a single row, since numpy sends
-        one-row products to gemv instead of gemm. With the slab cap this
-        makes each output row independent of how many rows are batched
-        together, which the packed path's bitwise equivalence relies on.
+        ``_GEMM_MACS``, so OpenBLAS runs each on one thread. No block has
+        a single row, since numpy sends one-row products to gemv instead
+        of gemm; with the slab cap this makes each output row independent
+        of how many rows one call holds, though no caller relies on that.
         """
         r, c = self.tile
         p, q = self.bitmap.shape
@@ -275,7 +275,7 @@ class TileBCSR:
 @functools.lru_cache(maxsize=256)
 def _row_blocks(n: int, rows: int) -> tuple[tuple[int, int], ...]:
     """``[r0, r1)`` blocks of at most ``rows`` covering ``n`` rows, none of
-    them a single row unless ``n`` is 1."""
+    them a single row unless ``n`` is 1 (see :meth:`TileBCSR.matmul`)."""
     bounds = list(range(0, n, rows)) + [n]
     if len(bounds) > 2 and n - bounds[-2] == 1:
         bounds[-2] -= 1

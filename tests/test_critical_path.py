@@ -50,7 +50,7 @@ def _spec(**kw) -> LoadgenSpec:
     base = dict(engine="et", model="small", rate_per_s=1000.0,
                 num_requests=40, seed=0, max_seq_len=64, seq_step=16,
                 policy="fine64", workers=2, max_batch=8,
-                max_wait_us=2_000.0, max_depth=64, packed=True)
+                max_wait_us=2_000.0, max_depth=64)
     base.update(kw)
     return LoadgenSpec(**base)
 

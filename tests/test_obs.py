@@ -35,7 +35,7 @@ from repro.obs import (
     write_events,
 )
 from repro.obs.history import append_history, load_history
-from repro.runtime import PLAN_CACHE, EncoderWeights, TensorRTLikeEngine
+from repro.runtime import EncoderWeights, TensorRTLikeEngine
 from repro.serving import (
     AsyncServer,
     LoadgenSpec,
@@ -291,13 +291,6 @@ class TestTracer:
         assert chrome_trace_json(*from_file) == \
             chrome_trace_json(*build_trace(events, res.engine))
 
-    def test_build_trace_leaves_plan_cache_counters(self):
-        events = EventLog()
-        res = run_loadgen(_small_spec(), events=events)
-        before = PLAN_CACHE.stats()
-        roots, _ = build_trace(events, res.engine)
-        assert any(s.kind == "batch" for s in roots)
-        assert PLAN_CACHE.stats() == before
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _spec(**kw) -> LoadgenSpec:
     base = dict(engine="et", model="small", rate_per_s=1000.0,
                 num_requests=24, seed=0, max_seq_len=64, seq_step=16,
                 policy="fine64", workers=2, max_batch=8,
-                max_wait_us=2_000.0, max_depth=64, packed=True)
+                max_wait_us=2_000.0, max_depth=64)
     base.update(kw)
     return LoadgenSpec(**base)
 
@@ -334,19 +334,16 @@ class TestPoolServer:
         assert not np.array_equal(fresh.output, table.output)
         assert np.array_equal(fresh.output, engine.run(fresh_x).output)
 
-    def test_metrics_text_has_pool_and_plan_cache_series(self):
+    def test_metrics_text_has_pool_series(self):
         spec = _spec(num_requests=8)
         server, payloads, _, _ = build_pool_server(spec, 2)
         with server:
             drive_server(server, spec, payloads)
-        # after stop every replica's goodbye has merged its plan stats
         text = server.metrics_text()
         assert "repro_pool_shm_bytes" in text
         assert 'repro_pool_replica_backlog{replica="0"}' in text
         assert "repro_pool_steals_total" in text
         assert "repro_pool_worker_deaths_total 0" in text
-        assert 'repro_plan_cache_hits_total{source="replica0"}' in text
-        assert 'repro_plan_cache_hits_total{source="replica1"}' in text
 
 
 def test_pool_server_rejects_oversize_submit():
