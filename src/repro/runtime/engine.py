@@ -3,12 +3,20 @@
 :meth:`Engine.run` loops the layers of one ``(s, d_model)`` sequence,
 launching costed kernels into a fresh timeline. :meth:`Engine.run_batch`,
 the serving layer's single entry point, validates a whole batch and then
-runs each member through that same path in order.
+runs its members through that same path concurrently, on one
+process-wide thread pool with a thread per CPU the process may use. A
+member's run owns its timeline and execution context, and the weights
+and sparse formats it reads are never written, so members share nothing
+mutable; NumPy's BLAS calls release the interpreter lock, which is where
+two members overlap.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +26,38 @@ from repro.gpu.counters import Timeline
 from repro.gpu.device import DeviceSpec, default_device
 from repro.ops.context import ExecContext
 from repro.runtime.weights import EncoderWeights
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+#: ``active`` is set on the pool's own threads: a ``run_batch`` called from
+#: a member runs inline instead of waiting on a pool it may be saturating.
+_member_thread = threading.local()
+
+
+def _mark_member_thread() -> None:
+    _member_thread.active = True
+
+
+def _member_pool() -> ThreadPoolExecutor:
+    """The thread pool batch members run on, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=len(os.sched_getaffinity(0)),
+                thread_name_prefix="batch-member",
+                initializer=_mark_member_thread)
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def mask_fingerprint(mask: np.ndarray | None) -> str | None:
@@ -163,21 +203,31 @@ class Engine:
         """Run a batch of sequences; the serving batcher's only engine API.
 
         Validates every input and mask up front (so a malformed request
-        cannot fail the batch half-way through), then runs each member in
-        order through the same path as :meth:`run`. Returns the per-request
-        results plus one aggregated :class:`Timeline` whose total time is
+        cannot fail the batch half-way through), then runs the members
+        through the same path as :meth:`run`: a batch of two or more
+        concurrently on the process-wide member pool, a batch of one (or
+        any batch reached from a member's own thread) inline. If members
+        raise, every member still finishes first, and the lowest-index
+        failure propagates. Returns the per-request results in member
+        order plus one aggregated :class:`Timeline` whose total time is
         the batch's service time on the cost model's serial stream. Each
-        member's records are wrapped in a ``request{i}`` region on merge, so
-        the aggregate keeps per-request provenance (``time_by_region``
-        yields ``request0/layer1`` labels and batch traces attribute kernels
-        to requests).
+        member's records are wrapped in a ``request{i}`` region on merge,
+        in member order, so the aggregate keeps per-request provenance
+        (``time_by_region`` yields ``request0/layer1`` labels and batch
+        traces attribute kernels to requests).
         """
         coerced, mask_list = self._coerce_batch(xs, masks)
+        members = list(zip(coerced, mask_list))
+        if len(members) < 2 or getattr(_member_thread, "active", False):
+            results = [self._run_prepared(x, m) for x, m in members]
+        else:
+            pool = _member_pool()
+            futures = [pool.submit(self._run_prepared, x, m)
+                       for x, m in members]
+            wait(futures)
+            results = [f.result() for f in futures]
         agg = Timeline(self.device)
-        results = []
-        for i, x in enumerate(coerced):
-            res = self._run_prepared(x, mask_list[i])
-            results.append(res)
+        for i, res in enumerate(results):
             agg.merge(res.timeline, prefix=f"request{i}")
         return results, agg
 

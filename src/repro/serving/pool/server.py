@@ -182,7 +182,11 @@ class PoolServer(LiveServer):
             t.start()
 
     def _await_hellos(self) -> None:
-        """Block until every replica announced itself (or fail loudly)."""
+        """Block until every replica announced itself (or fail loudly).
+
+        Waits in short slices, so a replica that exits before its hello
+        fails ``start`` at once, naming the replica and its exit code.
+        """
         deadline = time.monotonic() + self.start_timeout_s  # etlint: disable=ET301 timing boundary
         greeted: set[int] = set()
         while len(greeted) < self.n_workers:
@@ -192,8 +196,14 @@ class PoolServer(LiveServer):
                     f"only {len(greeted)}/{self.n_workers} replicas came up "
                     f"within {self.start_timeout_s:g}s")
             try:
-                msg = self._result_q.get(timeout=remaining)  # type: ignore[union-attr]
+                msg = self._result_q.get(timeout=min(remaining, 0.2))  # type: ignore[union-attr]
             except std_queue.Empty:
+                for rid, proc in self._procs.items():
+                    code = proc.exitcode  # type: ignore[attr-defined]
+                    if rid not in greeted and code is not None:
+                        raise RuntimeError(
+                            f"replica {rid} exited with code {code} "
+                            f"before it came up") from None
                 continue
             if isinstance(msg, WorkerHello):
                 greeted.add(msg.worker_id)
@@ -265,6 +275,8 @@ class PoolServer(LiveServer):
                 except (ValueError, OSError):
                     pass
         for p in procs.values():
+            if p.pid is None:  # start() never ran (or failed): no process
+                continue
             p.join(timeout=10)
             if p.is_alive():  # wedged replica: the pool must still come down
                 p.terminate()

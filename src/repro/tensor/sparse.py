@@ -19,7 +19,6 @@ that consume them live in :mod:`repro.ops.sparse_gemm`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,27 +163,24 @@ class TileBCSR:
 
     #: Longest reduction (input columns) one slab GEMM runs over: 16 tiles
     #: at c = 16. Up to K = 256 OpenBLAS's Haswell dgemm gives each output
-    #: row the same bits whatever the row count; from K = 448 it does not.
+    #: row the same bits whatever the row count (from K = 448 it does not),
+    #: so one call over all rows computes what any split of them would.
     _SLAB_K = 256
-    #: Most multiply-adds per GEMM call: OpenBLAS runs a GEMM of up to 2^18
-    #: of them on one thread, and hands larger ones to its thread pool,
-    #: whose start-up costs more than these small products save.
-    _GEMM_MACS = 1 << 18
 
     def __post_init__(self) -> None:
         r, c = self.tile
         per = max(1, self._SLAB_K // c)
         tiles_t = self.tiles.transpose(0, 2, 1)  # (num_tiles, c, r)
         lane = np.arange(c)
-        self._slabs: list[tuple[int, bool, np.ndarray, np.ndarray, int]] = []
+        self._slabs: list[tuple[int, bool, np.ndarray, np.ndarray]] = []
         for i in range(self.bitmap.shape[0]):
             lo, hi = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
             for k0 in range(lo, hi, per):
                 k1 = min(k0 + per, hi)
                 cols = (self.col_idx[k0:k1, None] * c + lane).ravel()
-                rows = max(2, self._GEMM_MACS // (cols.size * r))
                 self._slabs.append((i, k0 > lo, cols,
-                                    tiles_t[k0:k1].reshape(-1, r), rows))
+                                    tiles_t[k0:k1].reshape(-1, r)))
+        self._slab_rows = max((s[2].size for s in self._slabs), default=0)
 
     @classmethod
     def from_dense(
@@ -248,12 +244,12 @@ class TileBCSR:
         product up to rounding.
 
         ``x`` is transposed once to ``(in, n)``, so a slab's gather copies
-        contiguous rows and ``n`` is BLAS's column-major N dimension. Rows
-        run in blocks sized per slab to keep every call within
-        ``_GEMM_MACS``, so OpenBLAS runs each on one thread. No block has
-        a single row, since numpy sends one-row products to gemv instead
-        of gemm; with the slab cap this makes each output row independent
-        of how many rows one call holds, though no caller relies on that.
+        contiguous rows and ``n`` is BLAS's column-major N dimension. Each
+        slab is one BLAS call over all ``n`` rows, gathered into a
+        workspace this call allocates: nothing is written to the shared
+        format, so threads may call ``matmul`` on one ``TileBCSR`` at once.
+        Fewer, larger calls are what let two such threads overlap (DESIGN
+        §10, "Tile GEMM blocking").
         """
         r, c = self.tile
         p, q = self.bitmap.shape
@@ -261,25 +257,17 @@ class TileBCSR:
         n = int(np.prod(lead))
         out = np.zeros((n, p * r), dtype=np.result_type(x, self.tiles))
         xt = np.ascontiguousarray(x.reshape(n, q * c).T)
-        for i, accumulate, cols, w, rows in self._slabs:
-            xg = xt[cols]
-            for r0, r1 in _row_blocks(n, rows):
-                dst = out[r0:r1, i * r:(i + 1) * r]
-                if accumulate:
-                    dst += np.matmul(xg[:, r0:r1].T, w)
-                else:
-                    np.matmul(xg[:, r0:r1].T, w, out=dst)
+        ws = np.empty((self._slab_rows, n), dtype=xt.dtype)
+        for i, accumulate, cols, w in self._slabs:
+            # mode="clip" gathers straight into the workspace; "raise"
+            # would gather into a buffer and copy (the indices are valid).
+            xg = np.take(xt, cols, axis=0, out=ws[:cols.size], mode="clip")
+            dst = out[:, i * r:(i + 1) * r]
+            if accumulate:
+                dst += np.matmul(xg.T, w)
+            else:
+                np.matmul(xg.T, w, out=dst)
         return out.reshape(*lead, p * r)
-
-
-@functools.lru_cache(maxsize=256)
-def _row_blocks(n: int, rows: int) -> tuple[tuple[int, int], ...]:
-    """``[r0, r1)`` blocks of at most ``rows`` covering ``n`` rows, none of
-    them a single row unless ``n`` is 1 (see :meth:`TileBCSR.matmul`)."""
-    bounds = list(range(0, n, rows)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        bounds[-2] -= 1
-    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def dense_from_mask(w: np.ndarray, mask: np.ndarray) -> np.ndarray:

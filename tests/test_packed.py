@@ -2,13 +2,18 @@
 calls do.
 
 The contract under test (DESIGN.md §10): for every engine, ``run_batch``
-validates the whole batch before any member runs, then runs each member
-through the same path as ``run(x, mask)``; outputs, per-request latencies,
-region breakdowns, choices and kernel records are bitwise identical to
-those single runs, and the aggregate timeline merges them under
-``request{i}`` in member order. The file keeps its historical name from
-when batches had a second, packed execution path.
+validates the whole batch before any member runs, then runs the members
+concurrently through the same path as ``run(x, mask)``; outputs,
+per-request latencies, region breakdowns, choices and kernel records are
+bitwise identical to those single runs, the aggregate timeline merges
+them under ``request{i}`` in member order, and a failing batch raises its
+lowest-index failure once every member has finished. The file keeps its
+historical name from when batches had a second, packed execution path.
 """
+
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from repro.runtime import (
     TensorRTLikeEngine,
     mask_fingerprint,
 )
+from repro.runtime.engine import _member_pool
 
 CFG = small_config(name="packed-t", num_layers=2, d_model=64, num_heads=4,
                    max_seq_len=64)
@@ -181,6 +187,99 @@ class TestDispatch:
         mask = {"s": mask[0], "s,s": mask, "1,s,s": mask[None]}[shape]
         xs, _ = _batch(np.random.default_rng(10), [s, s])
         assert_matches_run(engine, xs, [mask, None])
+
+
+#: Members overlap only when the member pool (one thread per CPU) has two.
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="the member pool has one thread per CPU")
+
+
+class TestConcurrentMembers:
+    @two_cpus
+    def test_two_members_in_flight_at_once(self, engine, monkeypatch):
+        # Each member waits at the barrier until the other one arrives:
+        # the batch finishes only if both run at the same time.
+        barrier = threading.Barrier(2, timeout=10)
+        run_prepared = engine._run_prepared
+
+        def spy(x, mask):
+            barrier.wait()
+            return run_prepared(x, mask)
+
+        monkeypatch.setattr(engine, "_run_prepared", spy)
+        xs, masks = _batch(np.random.default_rng(14), [32, 16], masked=(1,))
+        results, _ = engine.run_batch(xs, masks)
+        for x, m, res in zip(xs, masks, results):
+            assert np.array_equal(res.output, run_prepared(x, m).output)
+
+    def test_repeated_ragged_masked_batches_are_bitwise_stable(self, engine):
+        xs, masks = _batch(np.random.default_rng(15), [48, 16, 32, 16],
+                           masked=(1, 2))
+        refs = [engine.run(x, m) for x, m in zip(xs, masks)]
+        for _ in range(20):
+            results, agg = engine.run_batch(xs, masks)
+            for res, ref in zip(results, refs):
+                assert np.array_equal(res.output, ref.output)
+                assert _records(res.timeline) == _records(ref.timeline)
+                assert res.timeline.time_by_region() == \
+                    ref.timeline.time_by_region()
+            assert agg.time_by_region() == {
+                f"request{i}/{k}": v
+                for i, ref in enumerate(refs)
+                for k, v in ref.timeline.time_by_region().items()}
+
+    @two_cpus
+    def test_lowest_index_failure_raised_after_every_member(
+            self, engine, monkeypatch):
+        """Member 1 fails first in time, member 0 later, and member 2 ends
+        last: the batch raises member 0's error, once all four are done."""
+        xs, masks = _batch(np.random.default_rng(16), [16] * 4)
+        run_prepared = engine._run_prepared
+        done = []
+
+        def spy(x, mask):
+            i = next(k for k, xk in enumerate(xs) if xk is x)
+            try:
+                if i == 0:
+                    time.sleep(0.1)
+                    raise RuntimeError("member 0")
+                if i == 1:
+                    raise RuntimeError("member 1")
+                if i == 2:
+                    time.sleep(0.5)
+                return run_prepared(x, mask)
+            finally:
+                done.append(i)
+
+        monkeypatch.setattr(engine, "_run_prepared", spy)
+        with pytest.raises(RuntimeError, match="member 0"):
+            engine.run_batch(xs, masks)
+        assert sorted(done) == [0, 1, 2, 3]
+        assert done[0] == 1 and done[-1] == 2
+
+    @two_cpus
+    def test_run_batch_on_a_member_thread_runs_inline(self, engine,
+                                                      monkeypatch):
+        """A ``run_batch`` reached from a member-pool thread runs its
+        members on that thread: handing them to other pool threads would
+        deadlock once every pool thread waits the same way."""
+        run_prepared = engine._run_prepared
+        ran_on = []
+
+        def spy(x, mask):
+            ran_on.append(threading.current_thread())
+            return run_prepared(x, mask)
+
+        monkeypatch.setattr(engine, "_run_prepared", spy)
+        xs, masks = _batch(np.random.default_rng(17), [16, 24], masked=(0,))
+
+        def member():
+            return threading.current_thread(), engine.run_batch(xs, masks)
+
+        thread, (results, _) = _member_pool().submit(member).result(60)
+        assert ran_on == [thread, thread]
+        for x, m, res in zip(xs, masks, results):
+            assert np.array_equal(res.output, run_prepared(x, m).output)
 
 
 class TestLatencyMemoization:

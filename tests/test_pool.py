@@ -9,7 +9,9 @@ must produce identical bytes for the same seeded mix.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
+from multiprocessing.context import SpawnProcess
 
 import numpy as np
 import pytest
@@ -303,6 +305,38 @@ class TestPoolServer:
         assert len(responses) == spec.num_requests
         served = [r for r in responses if r.status is ResponseStatus.OK]
         assert served, "survivor replica served no traffic after the crash"
+
+    def test_spawn_failure_reraised_and_segment_unlinked(self, monkeypatch):
+        """Replica 1's ``start()`` fails: ``start`` re-raises that error,
+        not one from joining the never-started process, and the weight
+        segment is unlinked."""
+        server, _, _, _ = build_pool_server(_spec(), 2)
+        real_start = SpawnProcess.start
+
+        def start(proc):
+            if proc.name == "pool-replica-1":
+                raise OSError("injected spawn failure")
+            real_start(proc)
+
+        monkeypatch.setattr(SpawnProcess, "start", start)
+        with pytest.raises(OSError, match="injected spawn failure"):
+            server.start()
+        assert server._segment_name is not None
+        assert not segment_exists(server._segment_name)
+        assert not server._procs[0].is_alive()
+
+    def test_replica_dying_in_bootstrap_fails_start_fast(self):
+        """Replicas that cannot build their engine exit before saying
+        hello; ``start`` fails within seconds, not ``start_timeout_s``."""
+        server, _, _, _ = build_pool_server(_spec(), 2)
+        assert server.start_timeout_s == 120.0
+        server.engine.name = "no-such-engine"  # replicas look engines up by name
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=r"replica \d exited with code 1"):
+            server.start()
+        assert time.monotonic() - t0 < 10.0
+        assert not segment_exists(server._segment_name)
 
     def test_tenant_quota_rejects_live_submit(self):
         # A long batching window keeps request 1 in flight while the

@@ -1,5 +1,8 @@
 """Sparse weight containers (Section 4.1 formats)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -139,8 +142,8 @@ class TestTileBCSRPaperShape:
     """BERT_BASE fc2 (768×3072) at 80% tile pruning: tile-rows hold ~38
     tiles, so each spans several slabs and takes the accumulate branch."""
 
-    #: Four 64-row blocks of a full slab plus one row: the whole-batch
-    #: call must not leave that row to gemv.
+    #: One row past 256: each slab's whole-batch call holds 257 rows,
+    #: while the splits below end in short remainders.
     N = 257
 
     @pytest.fixture(scope="class")
@@ -173,6 +176,38 @@ class TestTileBCSRPaperShape:
             del cuts[-2]  # a one-row split is gemv's case, not gemm's
         parts = [fc2.matmul(x[a:b]) for a, b in zip(cuts, cuts[1:])]
         assert np.array_equal(np.concatenate(parts), fc2.matmul(x))
+
+    def test_threads_sharing_one_format_match_serial(self, fc2, x):
+        """``run_batch`` members call ``matmul`` on one shared format at
+        once; each call's workspace is its own, so results are unchanged.
+        More threads than a small host has cores, switching often."""
+        # Equal row counts, so a workspace shared by row count would race.
+        inputs = [x[:128], x[129:], x[::2][:128], x[1::2]] * 2
+        serial = [fc2.matmul(xi) for xi in inputs]
+        n_threads = 4
+        start = threading.Barrier(n_threads, timeout=10)
+        got: dict[int, np.ndarray] = {}
+
+        def work(first: int) -> None:
+            start.wait()
+            for k in range(first, len(inputs), n_threads):
+                got[k] = fc2.matmul(inputs[k])
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(len(inputs)))
+        for k, ref in enumerate(serial):
+            assert np.array_equal(got[k], ref)
 
 
 class TestDenseFromMask:
