@@ -14,41 +14,49 @@ Besides the pytest-benchmark sweep, ``python benchmarks/bench_serving.py
 serving metrics (throughput, p50/p95/p99), and a ``pool`` section
 driving the same seeded request mix through the thread-backed
 :class:`AsyncServer` and the multi-process :class:`PoolServer`
-(2 replicas, shared-memory weights). Each backend is measured as its CLI
-driver configures it — the pool's per-length memoization is a feature of
-the backend, not a bench knob. The loadgen section runs with per-bucket
-SLO deadlines (``slo_us=0``) so attainment/goodput land in the report,
-and a ``telemetry`` section measures instrumentation overhead (flight
-recorder alone, and with the Chrome trace derived from it). The process
-exits nonzero if the pool's outputs are not bitwise identical to the
-thread backend's, if pool throughput at batch ≥ 8 falls below the thread
-backend, or if instrumentation changes the rendered report or the flight
+(2 replicas, shared-memory weights), on the tiny ``small`` model and at
+a paper shape (BERT_BASE, one layer, seqLen ≤ 128). Both arms run every
+request on the engine and use one BLAS thread per process (set before
+NumPy loads, as ``perfbench/run.py`` does), so the ratio measures the
+backends, not a memo or thread oversubscription. The loadgen section
+runs with per-bucket SLO deadlines (``slo_us=0``) so attainment/goodput
+land in the report, and a ``telemetry`` section measures instrumentation
+overhead (flight recorder alone, and with the Chrome trace derived from
+it). The process exits nonzero if the pool's outputs are not bitwise
+identical to the thread backend's, if pool throughput at batch ≥ 8 falls
+below the thread backend on either model, or if instrumentation changes the rendered report or the flight
 recorder costs more than the overhead sanity bound — what CI's
 perf-smoke job checks (which also gates the report against
 ``BENCH_history.jsonl`` via ``tools/bench_history.py``).
 """
 
-import argparse
-import json
 import os
-import pathlib
-import sys
-import time
 
-import numpy as np
+if __name__ == "__main__":  # before NumPy loads: one BLAS thread per process
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-from repro.eval.format import render_table
-from repro.serving import (
+import argparse  # noqa: E402
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.eval.format import render_table  # noqa: E402
+from repro.serving import (  # noqa: E402
     AsyncServer,
     LoadgenSpec,
     make_policy,
     model_crossover,
     run_loadgen,
 )
-from repro.serving.loadgen import build_engine, build_payloads
-from repro.serving.pool import build_pool_server, drive_server
+from repro.serving.loadgen import build_engine, build_payloads  # noqa: E402
+from repro.serving.pool import build_pool_server, drive_server  # noqa: E402
 
-from _util import emit, once
+from _util import emit, once  # noqa: E402
 
 RATES = (200.0, 1000.0, 5000.0)
 POLICIES = ("single", "fine32", "fine64")
@@ -160,11 +168,10 @@ def measure_telemetry_overhead(repeats: int = 15) -> dict:
     flight recorder alone (``events``), and full deep profiling (the
     flight recorder, then the per-kernel Chrome trace built from its log
     after the run). All rendered reports must be byte-identical —
-    observation never changes a reported number. The always-on
-    instrumentation *hooks* (``events.enabled`` guards, SLO stamping)
-    cost ≤ 2% by construction: the plain arm runs them and its
-    deterministic metrics match the pre-instrumentation baseline exactly
-    (the history gate checks this). The opt-in flight recorder adds a few
+    observation never changes a reported number. The always-on metrics
+    fold and SLO stamping run in every arm, and the plain arm's
+    deterministic metrics match the committed baseline exactly (the
+    history gate checks this). The opt-in flight recorder adds a few
     percent *on this deliberately tiny model* (~2 us/event against ~150
     us/request of total work; negligible at production model sizes),
     gated loosely to tolerate shared-runner noise. The derived trace is
@@ -205,37 +212,37 @@ def measure_telemetry_overhead(repeats: int = 15) -> dict:
     }
 
 
-def _pool_spec(n_workers: int, num_requests: int = 96) -> LoadgenSpec:
+#: Pool-vs-thread workloads: model -> (requests, max seqLen, seqLen step).
+POOL_SHAPES = {"small": (96, 64, 16), "BERT_BASE": (32, 128, 32)}
+
+
+def _pool_spec(model: str, n_workers: int) -> LoadgenSpec:
     """The seeded workload both live backends serve (batches fill to 8)."""
+    num_requests, max_seq_len, seq_step = POOL_SHAPES[model]
     return LoadgenSpec(
-        engine="et", model="small", rate_per_s=1000.0,
-        num_requests=num_requests, seed=0, max_seq_len=64, seq_step=16,
-        policy="fine64", workers=n_workers, max_batch=8,
+        engine="et", model=model, rate_per_s=1000.0,
+        num_requests=num_requests, seed=0, max_seq_len=max_seq_len,
+        seq_step=seq_step, policy="fine64", workers=n_workers, max_batch=8,
         max_wait_us=2_000.0, max_depth=64,
     )
 
 
-def _best_drive(server, spec, payloads, repeats: int) -> tuple[float, list]:
-    """Warm once, then best-of-``repeats`` wall clock of the seeded mix."""
-    responses = drive_server(server, spec, payloads)  # warm caches
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        responses = drive_server(server, spec, payloads)
-        best = min(best, time.perf_counter() - t0)
-    return best, responses
-
-
-def measure_pool_vs_thread(n_workers: int = 2, repeats: int = 3) -> dict:
-    """Pool-vs-thread throughput on the same seeded mix, plus bitwise check.
+def measure_pool_vs_thread(model: str = "small", n_workers: int = 2,
+                           pairs: int = 10) -> dict:
+    """Pool-vs-thread wall clock on the same seeded mix, plus bitwise check.
 
     Each backend runs exactly as its CLI driver builds it: the thread
     :class:`AsyncServer` with one engine per worker thread, the
     :class:`PoolServer` with ``n_workers`` replica processes attached to
-    one shared-memory weight segment. Outputs must be bitwise identical
-    (engine outputs are a pure function of the input sequence).
+    one shared-memory weight segment. Both run every request on the
+    engine. Both servers stay up; after one warm drive each, ``pairs``
+    timed drives alternate between them, the first arm flipping every
+    pair, so slow drift biases neither. Reported: median wall clock per
+    arm, the median pool/thread ratio with its quartiles, and the pairs
+    the pool won. Outputs must be bitwise identical (engine outputs are a
+    pure function of the input sequence).
     """
-    spec = _pool_spec(n_workers)
+    spec = _pool_spec(model, n_workers)
     payloads = build_payloads(spec)
     cfg = spec.model_config()
     engines = [build_engine(spec) for _ in range(n_workers)]
@@ -245,30 +252,46 @@ def measure_pool_vs_thread(n_workers: int = 2, repeats: int = 3) -> dict:
     thread_server = AsyncServer(engines, policy, max_batch=spec.max_batch,
                                 max_wait_us=spec.max_wait_us,
                                 max_depth=spec.max_depth)
-    with thread_server:
-        thread_s, thread_resp = _best_drive(thread_server, spec, payloads,
-                                            repeats)
-
     pool_server, pool_payloads, _, _ = build_pool_server(spec, n_workers)
-    with pool_server:
-        pool_s, pool_resp = _best_drive(pool_server, spec, pool_payloads,
-                                        repeats)
+    arms = {"thread": (thread_server, payloads),
+            "pool": (pool_server, pool_payloads)}
+    times: dict[str, list[float]] = {"thread": [], "pool": []}
+    with thread_server, pool_server:
+        out = {name: drive_server(server, spec, pay)  # warm caches
+               for name, (server, pay) in arms.items()}
+        for i in range(pairs):
+            for name in (("thread", "pool") if i % 2 == 0
+                         else ("pool", "thread")):
+                server, pay = arms[name]
+                t0 = time.perf_counter()
+                drive_server(server, spec, pay)
+                times[name].append(time.perf_counter() - t0)
         snapshot = pool_server.pool_snapshot()
 
+    thread_resp, pool_resp = out["thread"], out["pool"]
     equal = len(thread_resp) == len(pool_resp) and all(
         a.output is not None and b.output is not None
         and np.array_equal(a.output, b.output)
         for a, b in zip(thread_resp, pool_resp))
+    thread_s = statistics.median(times["thread"])
+    pool_s = statistics.median(times["pool"])
+    ratios = [t / p for t, p in zip(times["thread"], times["pool"])]
+    q1, med, q3 = statistics.quantiles(ratios, n=4)
     return {
+        "model": model,
+        "max_seq_len": spec.max_seq_len,
         "workers": n_workers,
         "num_requests": spec.num_requests,
         "max_batch": spec.max_batch,
         "cpus": os.cpu_count(),
+        "pairs": pairs,
         "thread_s": round(thread_s, 4),
         "pool_s": round(pool_s, 4),
         "thread_seq_s": round(spec.num_requests / thread_s, 1),
         "pool_seq_s": round(spec.num_requests / pool_s, 1),
-        "pool_vs_thread": round(thread_s / pool_s, 2),
+        "pool_vs_thread": round(med, 2),
+        "pool_vs_thread_iqr": [round(q1, 2), round(q3, 2)],
+        "pool_wins": sum(r > 1.0 for r in ratios),
         "outputs_bitwise_equal": equal,
         "steals": int(snapshot["steals"]),
         "shm_bytes": int(snapshot["shm_bytes"]),
@@ -295,22 +318,25 @@ def main(argv: list[str] | None = None) -> int:
         "loadgen": _loadgen_summary(),
         "telemetry": telemetry,
     }
-    pool = None
+    pools = []
     if args.pool_workers > 0:
-        pool = measure_pool_vs_thread(n_workers=args.pool_workers)
-        report["pool"] = pool
+        pools = [measure_pool_vs_thread(model, n_workers=args.pool_workers)
+                 for model in POOL_SHAPES]
+        report["pool"] = {p["model"]: p for p in pools}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"wrote {args.out}")
-    if pool is not None:
+    if pools:
         print(render_table(
-            ["backend", "workers", "wall s", "seq/s"],
-            [["thread (AsyncServer)", pool["workers"], pool["thread_s"],
-              pool["thread_seq_s"]],
-             ["pool (PoolServer)", pool["workers"], pool["pool_s"],
-              pool["pool_seq_s"]]],
-            title=f'pool vs thread — {pool["num_requests"]} requests, '
-                  f'batch {pool["max_batch"]}, {pool["cpus"]} cpus'))
+            ["model", "requests", "thread s", "pool s", "pool/thread",
+             "IQR", "pool won"],
+            [[p["model"], p["num_requests"], p["thread_s"], p["pool_s"],
+              p["pool_vs_thread"],
+              "{:.2f}-{:.2f}".format(*p["pool_vs_thread_iqr"]),
+              f'{p["pool_wins"]}/{p["pairs"]}'] for p in pools],
+            title=f'pool vs thread — {pools[0]["workers"]} workers, '
+                  f'batch {pools[0]["max_batch"]}, {pools[0]["cpus"]} cpus, '
+                  "one BLAS thread, medians of alternating pairs"))
     print(f"telemetry overhead: flight recorder "
           f"{telemetry['events_overhead_frac']:.1%}, full profiling "
           f"{telemetry['full_overhead_frac']:.1%} (plain "
@@ -328,15 +354,15 @@ def main(argv: list[str] | None = None) -> int:
               "the bench model is tiny and shared runners are noisy)",
               file=sys.stderr)
         failed = True
-    if pool is not None:
+    for pool in pools:
         if not pool["outputs_bitwise_equal"]:
-            print("FAIL: pool outputs differ from thread backend",
-                  file=sys.stderr)
+            print(f"FAIL: {pool['model']} pool outputs differ from thread "
+                  "backend", file=sys.stderr)
             failed = True
         if pool["pool_seq_s"] < pool["thread_seq_s"]:
-            print(f"FAIL: pool throughput {pool['pool_seq_s']} seq/s below "
-                  f"thread backend {pool['thread_seq_s']} seq/s",
-                  file=sys.stderr)
+            print(f"FAIL: {pool['model']} pool throughput "
+                  f"{pool['pool_seq_s']} seq/s below thread backend "
+                  f"{pool['thread_seq_s']} seq/s", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 

@@ -1,7 +1,17 @@
-"""``python -m repro`` entry point — see :mod:`repro.cli`."""
+"""``python -m repro`` and ``et-repro`` entry point — see :mod:`repro.cli`."""
 
 import sys
 
-from repro.cli import main
 
-sys.exit(main())
+def main() -> int:
+    """Pin BLAS to one thread (before NumPy loads), then run the CLI."""
+    from repro.threads import pin_blas_threads
+
+    pin_blas_threads()
+    from repro.cli import main as cli_main
+
+    return cli_main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,10 +17,6 @@ replica). ``check_trace.py`` proves this per run; this pass proves the
   raising after ``admit`` without the ``reject`` emit the handler owes;
 - **ET703** — a function emitting ``worker_death`` must re-book or
   reject the dead replica's orphans (the pool's recovery contract).
-
-``if self.events.enabled:`` guards are assumed true (the recorder being
-off trivially satisfies the protocol), which keeps correlated guards
-from manufacturing impossible open paths.
 """
 
 from __future__ import annotations
@@ -80,13 +76,6 @@ def _emit_kinds(node: ast.AST) -> dict[str, int]:
     return kinds
 
 
-def _branch_filter(test: ast.expr) -> bool | None:
-    """Assume recorder ``.enabled`` guards hold (worst case on)."""
-    if isinstance(test, ast.Attribute) and test.attr == "enabled":
-        return True
-    return None
-
-
 class _EventPath:
     """ET702 transfer function for one admitting function."""
 
@@ -141,8 +130,7 @@ class _EventPath:
 
 def _check_function_paths(sf: "SourceFile", func: FuncNode) -> list[Finding]:
     walker = _EventPath(sf)
-    checker = ProtocolChecker(step=walker.step, may_raise=walker.may_raise,
-                              branch_filter=_branch_filter)
+    checker = ProtocolChecker(step=walker.step, may_raise=walker.may_raise)
     for end in checker.run(func, "clean"):
         walker.report_open(end.state, end.node, end.exceptional)
     return list(walker.findings.values())

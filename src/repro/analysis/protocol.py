@@ -19,9 +19,6 @@ explosion:
   the pre-state is reported as an exceptional function exit;
 - ``finally`` blocks run on every path out of their ``try``, including
   the exceptional ones being propagated outward;
-- ``branch_filter`` lets a pass assume a condition's truth value (e.g.
-  treat ``self.events.enabled`` as always true) so correlated guards do
-  not manufacture impossible paths;
 - the frontier is deduplicated and capped, so the walk is linear in
   practice and never explodes.
 
@@ -40,7 +37,6 @@ from repro.analysis.callgraph import FuncNode
 State = Hashable
 StepFn = Callable[[State, ast.AST], "State | list[State]"]
 MayRaiseFn = Callable[[ast.stmt], bool]
-BranchFn = Callable[[ast.expr], "bool | None"]
 
 
 @dataclass(frozen=True)
@@ -81,11 +77,9 @@ class ProtocolChecker:
 
     def __init__(self, step: StepFn,
                  may_raise: MayRaiseFn | None = None,
-                 branch_filter: BranchFn | None = None,
                  max_states: int = 64) -> None:
         self.step = step
         self.may_raise = may_raise or (lambda stmt: False)
-        self.branch_filter = branch_filter or (lambda test: None)
         self.max_states = max_states
 
     def run(self, func: FuncNode, initial: State) -> list[PathEnd]:
@@ -155,15 +149,9 @@ class ProtocolChecker:
                 ctx.loop_stack[-1].extend(frontier)
             return []
         if isinstance(stmt, ast.If):
-            truth = self.branch_filter(stmt.test)
             frontier = self._apply(frontier, stmt.test)
-            out: list[State] = []
-            if truth is not False:
-                out.extend(self._walk_block(list(stmt.body),
-                                            list(frontier), ctx))
-            if truth is not True:
-                out.extend(self._walk_block(list(stmt.orelse),
-                                            list(frontier), ctx))
+            out = self._walk_block(list(stmt.body), list(frontier), ctx)
+            out += self._walk_block(list(stmt.orelse), list(frontier), ctx)
             return _dedupe(out, self.max_states)
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             header = stmt.test if isinstance(stmt, ast.While) else stmt.iter

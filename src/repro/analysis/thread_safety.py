@@ -19,7 +19,7 @@ checkable half of that contract:
   ``with self.<lock>:`` outside ``__init__`` — ET401;
 - every method call made through a collaborator attribute whose class
   was scanned and owns **no** lock (``self._core.admit(...)``,
-  ``self._core.metrics.observe_response(...)``) must be under the
+  ``self._core.metrics.fold(...)``) must be under the
   owner's lock too, whatever the method is named: an unguarded read of
   a non-thread-safe object races as well — ET402.
 

@@ -1,9 +1,10 @@
 """Observability: one flight recorder, and the exports derived from it.
 
-While a run serves, the serving layer records one thing: the
-flight-recorder :class:`EventLog` of request and batch transitions
-(plus the :class:`~repro.serving.metrics.MetricsRegistry` aggregates).
-The rest is built from that log afterwards:
+While a run serves, the serving layer records one thing: the stream of
+flight-recorder events, one per request or batch transition. The
+:class:`~repro.serving.metrics.MetricsRegistry` folds it live, an
+:class:`EventLog` keeps it when asked, and the rest is built from that
+log afterwards:
 
 - **Chrome ``trace_event`` JSON** (:func:`build_trace`, then
   :func:`write_chrome_trace`) — request ── queue_wait / service ── layer
@@ -17,11 +18,13 @@ The rest is built from that log afterwards:
 - **Prometheus text exposition** (:func:`prometheus_text`) — whole-run
   registry aggregates plus the rolling-window gauges of
   :class:`WindowedMetrics` (live p50/p95/p99, EWMA throughput, per-bucket
-  batch-size histograms).
+  batch-size histograms). ``MetricsRegistry.from_events`` replays a
+  recorded log through the live fold, so the page rebuilds from the log
+  alone.
 
-Recording is opt-in: every driver defaults to :data:`NULL_EVENT_LOG`,
-whose ``enabled`` flag keeps the hot path allocation-free, so the cost
-model's reported numbers are identical with recording off.
+Keeping the log is opt-in: every driver defaults to
+:data:`NULL_EVENT_LOG`, which keeps nothing, and the cost model's
+reported numbers are identical either way.
 """
 
 from repro.obs.attribution import attribute, report_json, write_report
@@ -56,11 +59,7 @@ from repro.obs.history import (
     check_regressions,
     load_history,
 )
-from repro.obs.prometheus import (
-    pool_prometheus_text,
-    prometheus_text,
-    write_prometheus,
-)
+from repro.obs.prometheus import pool_prometheus_text, prometheus_text
 from repro.obs.slo import SloPolicy, SloTracker
 from repro.obs.trace import Span, build_trace, engine_spans, render_span_tree
 from repro.obs.windowed import WindowedMetrics
@@ -107,6 +106,5 @@ __all__ = [
     "stage_totals",
     "write_chrome_trace",
     "write_events",
-    "write_prometheus",
     "write_report",
 ]

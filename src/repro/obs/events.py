@@ -17,21 +17,23 @@ time*, not emission order, which makes logs comparable across worker
 counts (the per-rid lifecycle is invariant; only batch composition and
 replica placement may differ).
 
-This log is the serving layer's only recorder: the Chrome trace is
-derived from it after the run (:func:`repro.obs.trace.build_trace`), as
-its timestamps are every span boundary and every kernel cost depends
-only on shapes.
+This stream is the serving layer's only recorder. The metrics registry
+folds it live (:meth:`repro.serving.metrics.MetricsRegistry.fold`), and
+the Chrome trace is derived from the log after the run
+(:func:`repro.obs.trace.build_trace`), as its timestamps are every span
+boundary and every kernel cost depends only on shapes. Replaying a log
+through :func:`admission_order` rebuilds the live metrics exactly.
 
-The default recorder everywhere is :data:`NULL_EVENT_LOG`; call sites
-guard emission with ``events.enabled``, so the hot path pays one
-attribute read when the recorder is off and reported numbers are
-identical either way.
+The default recorder everywhere is :data:`NULL_EVENT_LOG`, which keeps
+nothing: a run that records no log still folds its metrics, and reported
+numbers are identical either way.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Any, Iterable, Mapping
 
 #: Every legal event kind, in canonical rank order: at equal virtual time
 #: a request is admitted before it is enqueued, a batch is formed before
@@ -105,9 +107,17 @@ class Event:
                 out[name] = value
         return out
 
+    @property
+    def fields(self) -> dict[str, object]:
+        """The keyword fields :meth:`EventLog.emit` was given."""
+        return {name: getattr(self, name) for name in EVENT_FIELDS[2:]
+                if getattr(self, name) is not None}
+
 
 class EventLog:
     """Collects events for one run; serializes them as canonical JSONL.
+
+    ``enabled`` says whether the log keeps what it is given.
 
     The hot path (``emit``) appends one raw ``(ts_us, kind, fields)``
     triple; :class:`Event` objects materialize lazily at inspection /
@@ -132,9 +142,7 @@ class EventLog:
     def extend(self, events: list[Event]) -> None:
         """Fold in events recorded elsewhere (e.g. shipped by a replica)."""
         for e in events:
-            fields = {name: getattr(e, name) for name in EVENT_FIELDS[2:]
-                      if getattr(e, name) is not None}
-            self._raw.append((e.ts_us, e.kind, fields))
+            self._raw.append((e.ts_us, e.kind, e.fields))
 
     # ---- inspection -------------------------------------------------------
 
@@ -215,6 +223,37 @@ class NullEventLog(EventLog):
 
 #: Shared do-nothing recorder; the default for every instrumented driver.
 NULL_EVENT_LOG = NullEventLog()
+
+
+def admission_order(events: EventLog | Iterable[Event]) -> list[Event]:
+    """Canonical events, each ``enqueue`` moved up behind its ``admit``.
+
+    That is the order the serving core emits them in; the canonical sort
+    puts every admit at one timestamp before every enqueue. Replay a
+    recorded log in this order to count queue depth as it was live.
+    """
+    evs = events.sorted_events() if isinstance(events, EventLog) \
+        else sorted(events, key=Event.sort_key)
+    enqueued = {e.rid: e for e in evs if e.kind == "enqueue"}
+    out: list[Event] = []
+    for e in evs:
+        if e.kind != "enqueue":
+            out.append(e)
+            if e.kind == "admit" and e.rid in enqueued:
+                out.append(enqueued[e.rid])
+    return out
+
+
+def depth_change(kind: str, fields: Mapping[str, Any]) -> int:
+    """How one event moves the queue depth; its only definition.
+
+    A request counts from its ``enqueue`` and a batch's members leave at
+    ``batch_formed``. Summed in emission (or :func:`admission_order`)
+    order, the total before an ``admit`` is the depth that request found.
+    """
+    if kind == "enqueue":
+        return 1
+    return -fields["size"] if kind == "batch_formed" else 0
 
 
 def write_events(path: str, events: EventLog) -> None:

@@ -195,10 +195,3 @@ def pool_prometheus_text(pool: dict, namespace: str = "repro") -> str:
              [(f'{{tenant="{c}"}}', float(v))
               for c, v in sorted(tenants.items())])
     return w.text()
-
-
-def write_prometheus(path: str, metrics: "MetricsRegistry",
-                     namespace: str = "repro") -> None:
-    """Write one exposition page to ``path``."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(prometheus_text(metrics, namespace))

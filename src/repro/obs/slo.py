@@ -11,9 +11,9 @@ Two collaborators:
   deadlines (EET's dynamic-length serving argument: one global budget
   either starves long requests or makes short ones trivially attainable).
 - :class:`SloTracker` — counts deadline hits and misses per seqLen
-  bucket, per tenant, and per replica. Attainment is hits/total;
-  *goodput* is hits per second of driver-clock makespan (computed by the
-  metrics registry, which owns the makespan).
+  bucket, per tenant, and per replica from terminal events' fields.
+  Attainment is hits/total; *goodput* is hits per second of makespan
+  (computed by the metrics registry, which owns the makespan).
 
 Deadline checks run on the driver's clock (virtual time in the
 deterministic scheduler), so attainment is as reproducible as every
@@ -23,11 +23,10 @@ other reported number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - break the obs <-> serving cycle
     from repro.serving.bucketing import BucketPolicy
-    from repro.serving.request import Response
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,11 @@ class SloPolicy:
 class SloTracker:
     """Deadline attainment per bucket, per tenant, and per replica.
 
-    Only responses that carry a deadline are counted; a run without SLOs
+    Only requests that carry a deadline are counted; a run without SLOs
     reports zero totals and attainment 0.0 (the snapshot schema stays
     stable either way). Rejected requests with a deadline count as
-    misses — shed load is failed load from the client's point of view.
+    misses — shed load is failed load from the client's point of view;
+    the core stamps that verdict as the terminal event's ``slo_met``.
     """
 
     total: int = 0
@@ -96,37 +96,28 @@ class SloTracker:
     by_tenant: dict[int, list[int]] = field(default_factory=dict)
     by_replica: dict[int, list[int]] = field(default_factory=dict)
 
-    def observe(self, resp: Response) -> bool | None:
-        """Count one terminal response; returns its slo_met (None = no SLO)."""
-        met = resp.slo_met
+    def observe(self, fields: Mapping[str, Any]) -> bool | None:
+        """Count one terminal event's fields; returns its ``slo_met``
+        (None = no SLO)."""
+        met = fields.get("slo_met")
         if met is None:
             return None
         self.total += 1
         self.met += int(met)
-        for table, key in ((self.by_bucket, resp.bucket),
-                           (self.by_tenant, resp.client),
-                           (self.by_replica, resp.replica)):
-            if key is None or key < 0:
-                continue
-            cell = table.setdefault(key, [0, 0])
-            cell[0] += int(met)
-            cell[1] += 1
+        for group in ("bucket", "tenant", "replica"):
+            key = fields.get(group)
+            if key is not None and key >= 0:
+                cell = getattr(self, f"by_{group}").setdefault(key, [0, 0])
+                cell[0] += int(met)
+                cell[1] += 1
         return met
 
     @property
     def attainment(self) -> float:
         """Overall fraction of SLO-carrying requests that met the deadline."""
-        if self.total == 0:
-            return 0.0
-        return self.met / self.total
-
-    @staticmethod
-    def _rates(table: dict[int, list[int]]) -> dict[int, float]:
-        return {k: (m / t if t else 0.0)
-                for k, (m, t) in sorted(table.items())}
+        return self.met / self.total if self.total else 0.0
 
     def attainment_by(self, group: str) -> dict[int, float]:
         """Attainment per ``"bucket"`` / ``"tenant"`` / ``"replica"``."""
-        table = {"bucket": self.by_bucket, "tenant": self.by_tenant,
-                 "replica": self.by_replica}[group]
-        return self._rates(table)
+        table: dict[int, list[int]] = getattr(self, f"by_{group}")
+        return {k: m / t for k, (m, t) in sorted(table.items())}

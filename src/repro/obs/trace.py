@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.gpu.counters import KernelRecord, Timeline
 from repro.obs.critical_path import EventsLike, _BatchInfo, _index, _RunIndex
+from repro.obs.events import admission_order, depth_change
 
 if TYPE_CHECKING:
     from repro.runtime.engine import Engine, EngineResult
@@ -114,21 +115,27 @@ def _kernel_attrs(rec: KernelRecord, device) -> dict[str, object]:
 
 def engine_spans(timeline: Timeline, parent: Span,
                  choices: dict[str, str] | None = None,
-                 t0_us: float = 0.0) -> float:
+                 t0_us: float = 0.0,
+                 kernel_attrs: list[dict[str, object]] | None = None
+                 ) -> float:
     """Attach one engine run's kernel tree under ``parent``.
 
     The cost model's stream is serial, so kernels are laid end to end from
     ``t0_us``; the timeline's nested region labels (``layer{i}``, and
     ``request{i}/layer{j}`` after :meth:`Engine.run_batch` merging) become
     nested spans, with one extra ``step`` level grouping consecutive
-    same-tag kernels (the paper's attention steps ①–⑦). Returns the cursor
-    after the last kernel.
+    same-tag kernels (the paper's attention steps ①–⑦). ``kernel_attrs``
+    (one per record) saves recomputing counters for a reused timeline.
+    Returns the cursor after the last kernel.
     """
     choices = choices or {}
+    if kernel_attrs is None:
+        kernel_attrs = [_kernel_attrs(rec, timeline.device)
+                        for rec in timeline.records]
     cursor = t0_us
     stack: list[tuple[str, Span]] = []  # (region segment, open span)
     step: Span | None = None
-    for rec in timeline.records:
+    for rec, counters in zip(timeline.records, kernel_attrs):
         path = [p for p in rec.region.split("/") if p] if rec.region else []
         # close region spans that the new record is no longer inside
         keep = 0
@@ -156,7 +163,7 @@ def engine_spans(timeline: Timeline, parent: Span,
         if step is None or step.name != tag:
             step = owner.child(tag, "step", cursor, cursor)
         step.child(rec.name, "kernel", cursor, cursor + rec.time_us,
-                   _kernel_attrs(rec, timeline.device))
+                   counters)
         cursor += rec.time_us
         step.end_us = cursor
     for _, sp in reversed(stack):
@@ -165,7 +172,9 @@ def engine_spans(timeline: Timeline, parent: Span,
 
 
 def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
-                 runs: dict[int, "EngineResult"]) -> list[Span]:
+                 runs: dict[int, "EngineResult"],
+                 kernel_attrs: dict[int, list[dict[str, object]]]
+                 ) -> list[Span]:
     """One executed batch: its ``batch`` span, then one ``request`` span
     per member with its ``queue_wait``/``service`` phases.
 
@@ -193,7 +202,8 @@ def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
         sp.child("queue_wait", "phase", arrival, start)
         service = sp.child("service", "phase", start, done.ts_us,
                            {"batch_id": batch.batch_id})
-        cursor = engine_spans(run.timeline, service, run.choices, cursor)
+        cursor = engine_spans(run.timeline, service, run.choices, cursor,
+                              kernel_attrs[done.seq_len])  # type: ignore[index]
         spans.append(sp)
     return spans
 
@@ -207,28 +217,27 @@ def build_trace(events: EventsLike, engine: "Engine"
     ``queue_full`` rejection, and each completed batch's spans at the
     dispatch it finished on (checkpoints, members and replicas from the
     critical-path index). The ``queue_depth`` track samples the depth
-    before each admission; an admitted request counts from its own
-    ``admit`` (the canonical order puts every admit at one timestamp
-    before every enqueue), and a batch's members leave at
-    ``batch_formed``. Each distinct ``seq_len`` runs the engine once on
-    a zeros input for its kernel records and attention choices.
+    before each admission (:func:`~repro.obs.events.depth_change`, as the
+    metrics registry counts it). Each distinct ``seq_len`` runs
+    the engine once on a zeros input for its kernel records and attention
+    choices, and its kernels' counters are computed once.
     """
     idx = _index(events)
     d_model = engine.weights.config.d_model
     runs = {s: engine.run(np.zeros((s, d_model)))
             for s in sorted({e.seq_len for e in idx.complete.values()})}
+    kernel_attrs = {s: [_kernel_attrs(rec, run.timeline.device)
+                        for rec in run.timeline.records]
+                    for s, run in runs.items()}
     roots: list[Span] = []
     depth_samples: list[tuple[float, float]] = []
     depth = 0
     laid: set[int] = set()
-    for e in idx.events:
-        if e.kind == "admit" and e.rid is not None:
+    for e in admission_order(idx.events):
+        if e.kind == "admit":
             depth_samples.append((e.ts_us, float(depth)))
-            if e.rid in idx.enqueue_us:
-                depth += 1
-        elif e.kind == "batch_formed" and e.size is not None:
-            depth -= e.size
-        elif e.kind == "reject" and e.detail == "queue_full":
+        depth += depth_change(e.kind, e.fields)
+        if e.kind == "reject" and e.detail == "queue_full":
             roots.append(Span(f"request{e.rid}", "request", e.ts_us,
                               e.ts_us, {"rid": e.rid, "seq_len": e.seq_len,
                                         "client": e.tenant,
@@ -238,7 +247,8 @@ def build_trace(events: EventsLike, engine: "Engine"
             if batch is not None and batch.members \
                     and e.ts_us == batch.dispatch_us:
                 laid.add(batch.batch_id)
-                roots.extend(_batch_spans(idx, batch, engine, runs))
+                roots.extend(_batch_spans(idx, batch, engine, runs,
+                                          kernel_attrs))
     return roots, {"queue_depth": depth_samples}
 
 

@@ -1,26 +1,28 @@
 """Rolling-window serving metrics: live percentiles, EWMA throughput.
 
-:class:`~repro.serving.metrics.MetricsRegistry` accumulates whole-run
-aggregates; this layer answers the live-scrape questions a Prometheus
-endpoint needs — "what is p99 *right now*", "what is the current
-throughput" — by keeping only the observations inside a sliding time
-window plus an exponentially weighted completion-rate estimate. All
-timestamps are microseconds on whichever clock the driver uses, same as
-the registry.
+The live-scrape view of the registry's fold (:mod:`repro.serving.
+metrics`): one row per completed request in :attr:`WindowedMetrics.done`
+and dispatched batch sizes per bucket in :attr:`WindowedMetrics.
+batch_hist`. Every gauge is computed when read, over the rows in finish
+order (rid breaks ties), so none depends on the order events were folded
+in: a live server's page and a replay of its canonical log agree.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 from repro.eval.metrics import percentile
 
 #: Cumulative batch-size histogram edges (``le`` labels, Prometheus-style).
 BATCH_SIZE_LES = (1, 2, 4, 8, 16)
 
+#: One completed request: ``(finish_us, rid, latency_us, queue_us, slo_met)``.
+Done = tuple[float, int, float, float, "bool | None"]
+
 
 class WindowedMetrics:
-    """Sliding-window latency/queue stats and an EWMA throughput gauge."""
+    """Sliding-window latency/queue/SLO stats and an EWMA throughput gauge."""
 
     def __init__(self, window_us: float = 1_000_000.0,
                  ewma_alpha: float = 0.2) -> None:
@@ -30,99 +32,84 @@ class WindowedMetrics:
             raise ValueError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
         self.window_us = window_us
         self.ewma_alpha = ewma_alpha
-        self._lat: deque[tuple[float, float]] = deque()
-        self._queue: deque[tuple[float, float]] = deque()
-        self._slo: deque[tuple[float, bool]] = deque()
-        self._now_us = 0.0
-        self._last_completion_us: float | None = None
-        self.ewma_throughput_seq_s = 0.0
-        # per-bucket batch-size histograms (cumulative, whole-run)
+        #: Every completion folded so far, in fold order.
+        self.done: list[Done] = []
+        #: The latest completion or dispatch folded: the window ends here.
+        self.now_us = 0.0
+        #: Dispatched batch sizes per bucket (cumulative, whole run).
         self.batch_hist: dict[int, Counter[int]] = {}
-        self.batch_sum: dict[int, int] = {}
-        self.batch_count: dict[int, int] = {}
 
-    # ---- observation ------------------------------------------------------
-
-    def _advance(self, ts_us: float) -> None:
-        self._now_us = max(self._now_us, ts_us)
-        horizon = self._now_us - self.window_us
-        for dq in (self._lat, self._queue, self._slo):
-            while dq and dq[0][0] < horizon:
-                dq.popleft()
-
-    def observe_request(self, ts_us: float, latency_us: float,
-                        queue_us: float,
-                        slo_met: bool | None = None) -> None:
-        """Record one completed request at its finish time."""
-        self._advance(ts_us)
-        self._lat.append((ts_us, latency_us))
-        self._queue.append((ts_us, queue_us))
-        if slo_met is not None:
-            self._slo.append((ts_us, slo_met))
-        if self._last_completion_us is not None:
-            gap = ts_us - self._last_completion_us
-            inst = 1e6 / gap if gap > 0 else self.ewma_throughput_seq_s
-            if self.ewma_throughput_seq_s == 0.0:
-                self.ewma_throughput_seq_s = inst
-            else:
-                self.ewma_throughput_seq_s = (
-                    self.ewma_alpha * inst
-                    + (1.0 - self.ewma_alpha) * self.ewma_throughput_seq_s)
-        self._last_completion_us = max(
-            self._last_completion_us or 0.0, ts_us)
-
-    def observe_batch(self, ts_us: float, size: int, bucket: int) -> None:
-        """Record one dispatched batch into its bucket's size histogram."""
-        self._advance(ts_us)
-        self.batch_hist.setdefault(bucket, Counter())[size] += 1
-        self.batch_sum[bucket] = self.batch_sum.get(bucket, 0) + size
-        self.batch_count[bucket] = self.batch_count.get(bucket, 0) + 1
-
-    # ---- aggregates -------------------------------------------------------
+    def _window(self) -> list[Done]:
+        """The completions inside the window, in finish-time order."""
+        horizon = self.now_us - self.window_us
+        return [d for d in sorted(self.done) if d[0] >= horizon]
 
     @property
     def window_count(self) -> int:
         """Completions currently inside the window."""
-        return len(self._lat)
+        return len(self._window())
 
     def latency_percentile_us(self, p: float) -> float:
         """Latency percentile over the window (0.0 when empty)."""
-        if not self._lat:
-            return 0.0
-        return percentile([v for _, v in self._lat], p)
-
-    @property
-    def mean_queue_us(self) -> float:
-        """Mean queue wait over the window (0.0 when empty)."""
-        if not self._queue:
-            return 0.0
-        return sum(v for _, v in self._queue) / len(self._queue)
+        return row_stats(self._window(), (p,))[f"p{p:g}_latency_us"]
 
     @property
     def window_slo_attainment(self) -> float:
         """Fraction of windowed SLO-carrying completions that met deadline."""
-        if not self._slo:
-            return 0.0
-        return sum(1 for _, met in self._slo if met) / len(self._slo)
+        return _attainment(self._window())
+
+    @property
+    def ewma_throughput_seq_s(self) -> float:
+        """EWMA of the instantaneous completion rate, in finish order."""
+        ewma, last = 0.0, None
+        for finish, *_ in sorted(self.done):
+            if last is not None:
+                gap = finish - last
+                inst = 1e6 / gap if gap > 0 else ewma
+                ewma = inst if ewma == 0.0 else (
+                    self.ewma_alpha * inst + (1.0 - self.ewma_alpha) * ewma)
+            last = finish
+        return ewma
+
+    @property
+    def batch_sum(self) -> dict[int, int]:
+        """Summed dispatched batch sizes per bucket."""
+        return {b: sum(s * c for s, c in h.items())
+                for b, h in self.batch_hist.items()}
+
+    @property
+    def batch_count(self) -> dict[int, int]:
+        """Dispatched batches per bucket."""
+        return {b: sum(h.values()) for b, h in self.batch_hist.items()}
 
     def hist_cumulative(self, bucket: int) -> list[tuple[str, int]]:
         """Prometheus-style cumulative ``(le, count)`` rows for one bucket."""
         counts = self.batch_hist.get(bucket, Counter())
-        rows, acc = [], 0
-        for le in BATCH_SIZE_LES:
-            acc = sum(c for s, c in counts.items() if s <= le)
-            rows.append((str(le), acc))
+        rows = [(str(le), sum(c for s, c in counts.items() if s <= le))
+                for le in BATCH_SIZE_LES]
         rows.append(("+Inf", sum(counts.values())))
         return rows
 
     def snapshot(self) -> dict[str, float]:
         """The window's gauges as one flat dict (stable key set)."""
-        out = {
-            "window_count": float(self.window_count),
-            "window_mean_queue_us": self.mean_queue_us,
-            "window_slo_attainment": self.window_slo_attainment,
-            "ewma_throughput_seq_s": self.ewma_throughput_seq_s,
-        }
-        for p in (50.0, 95.0, 99.0):
-            out[f"window_p{p:g}_latency_us"] = self.latency_percentile_us(p)
+        window = self._window()
+        out = {f"window_{k}": v for k, v in row_stats(window).items()}
+        out.update(window_count=float(len(window)),
+                   window_slo_attainment=_attainment(window),
+                   ewma_throughput_seq_s=self.ewma_throughput_seq_s)
         return out
+
+
+def row_stats(rows: list[Done], ps: tuple[float, ...] = (50.0, 95.0, 99.0)
+              ) -> dict[str, float]:
+    """Latency percentiles and mean queue wait of completion rows (0.0
+    when there are none)."""
+    out = {f"p{p:g}_latency_us": percentile([d[2] for d in rows], p)
+           if rows else 0.0 for p in ps}
+    out["mean_queue_us"] = sum(d[3] for d in rows) / len(rows) if rows else 0.0
+    return out
+
+
+def _attainment(rows: list[Done]) -> float:
+    marks = [met for *_, met in rows if met is not None]
+    return sum(marks) / len(marks) if marks else 0.0

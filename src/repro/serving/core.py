@@ -16,9 +16,12 @@ every timestamp, and requests arrive with their SLO deadline already
 stamped) and not thread-safe: the live servers call it under their
 condition, which etlint's ET402 checks.
 
-The event log is the run's one recording substrate: the Chrome trace is
-derived from it after the run (:func:`repro.obs.trace.build_trace`), so
-no transition here builds a span.
+Each transition makes one recording call, :meth:`ServingCore.emit`: the
+event log keeps the event and the metrics registry folds it. Everything
+else is derived from the stream — the registry live, the Chrome trace
+after the run (:func:`repro.obs.trace.build_trace`), and the same
+metrics again from a recorded log
+(:meth:`~repro.serving.metrics.MetricsRegistry.from_events`).
 """
 
 from __future__ import annotations
@@ -52,66 +55,48 @@ class ServingCore:
         self.metrics = metrics
         self.events = events
 
+    def emit(self, kind: str, ts_us: float, **fields: object) -> None:
+        """Record one event: the log keeps it, the registry folds it."""
+        self.events.emit(kind, ts_us, **fields)
+        self.metrics.fold(kind, ts_us, fields)
+
     # ---- request transitions ----------------------------------------------
 
     def admit(self, req: Request) -> None:
         """Enqueue a stamped arrival at ``req.arrival_us``.
 
-        Observes the queue depth and emits ``admit`` then ``enqueue``. On a
-        full queue it emits ``reject`` (``queue_full``) and re-raises
+        Emits ``admit`` then ``enqueue``. On a full queue it emits
+        ``reject`` (``queue_full``) instead and re-raises
         :class:`QueueFullError`: a live server hands it to the caller, the
-        scheduler records the refusal with :meth:`refuse`.
+        scheduler answers with a rejected response. Either way the refusal
+        is already recorded.
         """
-        depth = self.queue.depth
-        self.metrics.observe_queue_depth(depth)
-        if self.events.enabled:
-            self.events.emit("admit", req.arrival_us, rid=req.rid,
-                             seq_len=req.seq_len, tenant=req.client,
-                             deadline_us=req.deadline_us)
+        self.emit("admit", req.arrival_us, rid=req.rid, seq_len=req.seq_len,
+                  tenant=req.client, deadline_us=req.deadline_us)
         try:
             self.queue.put(req)
         except QueueFullError:
-            if self.events.enabled:
-                self.events.emit("reject", req.arrival_us,
-                                 **_reject_fields(req, "queue_full"))
+            self.emit("reject", req.arrival_us,
+                      **_reject_fields(req, "queue_full"))
             raise
-        if self.events.enabled:
-            self.events.emit("enqueue", req.arrival_us, rid=req.rid,
-                             seq_len=req.seq_len)
-
-    def refuse(self, req: Request) -> Response:
-        """The rejected response of a request :meth:`admit` turned away.
-
-        Counted in the metrics; the ``reject`` event was already emitted
-        by admit.
-        """
-        resp = Response.rejected(req, req.arrival_us)
-        self.metrics.observe_response(resp)
-        return resp
+        self.emit("enqueue", req.arrival_us, rid=req.rid, seq_len=req.seq_len)
 
     def reject(self, req: Request, now_us: float, detail: str) -> Response:
         """Terminally reject a queued request that will never run."""
-        resp = Response.rejected(req, now_us)
-        self.metrics.observe_response(resp)
-        if self.events.enabled:
-            self.events.emit("reject", now_us, **_reject_fields(req, detail))
-        return resp
+        self.emit("reject", now_us, **_reject_fields(req, detail))
+        return Response.rejected(req, now_us)
 
     # ---- batch transitions ------------------------------------------------
 
     def batch_formed(self, batch: Batch, now_us: float) -> None:
         """The batcher closed a bucket into ``batch``."""
-        if self.events.enabled:
-            self.events.emit("batch_formed", now_us, batch_id=batch.batch_id,
-                             bucket=batch.bucket, size=batch.size)
+        self.emit("batch_formed", now_us, batch_id=batch.batch_id,
+                  bucket=batch.bucket, size=batch.size)
 
     def dispatched(self, batch: Batch, replica: int, now_us: float) -> None:
         """``batch`` started on worker/replica ``replica`` at ``now_us``."""
-        self.metrics.observe_batch(batch.size, batch.bucket, now_us)
-        if self.events.enabled:
-            self.events.emit("dispatch", now_us, batch_id=batch.batch_id,
-                             bucket=batch.bucket, size=batch.size,
-                             replica=replica)
+        self.emit("dispatch", now_us, batch_id=batch.batch_id,
+                  bucket=batch.bucket, size=batch.size, replica=replica)
 
     def complete(self, batch: Batch, replica: int, start_us: float,
                  service_us: float, outputs: Sequence[np.ndarray | None],
@@ -128,12 +113,9 @@ class ServingCore:
                 batch_id=batch.batch_id, batch_size=batch.size,
                 bucket=batch.bucket, seq_len=req.seq_len, client=req.client,
                 replica=replica, deadline_us=req.deadline_us, output=output)
-            self.metrics.observe_response(resp)
-            if self.events.enabled:
-                self.events.emit("complete", finish, rid=req.rid,
-                                 batch_id=batch.batch_id, bucket=batch.bucket,
-                                 seq_len=req.seq_len, tenant=req.client,
-                                 replica=replica, deadline_us=req.deadline_us,
-                                 slo_met=resp.slo_met)
+            self.emit("complete", finish, rid=req.rid,
+                      batch_id=batch.batch_id, bucket=batch.bucket,
+                      seq_len=req.seq_len, tenant=req.client, replica=replica,
+                      deadline_us=req.deadline_us, slo_met=resp.slo_met)
             responses.append(resp)
         return responses

@@ -1,95 +1,120 @@
-"""Serving metrics registry: latency percentiles, queue depth, batch sizes.
+"""Serving metrics: one fold over a run's lifecycle events.
 
-All times are microseconds on the driver's clock (virtual cost-model time in
-the deterministic scheduler). Percentile math is delegated to
-:func:`repro.eval.metrics.percentile` so the registry, the CLI tables and
-the benches agree bit-for-bit.
-
-Every observation is also forwarded incrementally into a
-:class:`~repro.obs.windowed.WindowedMetrics` layer (rolling-window
-percentiles, EWMA throughput, per-bucket batch-size histograms), which is
-what the Prometheus exposition renders for live scraping — the registry's
-own aggregates remain whole-run.
+The serving core hands every event it emits to :meth:`MetricsRegistry.
+fold`, the registry's only input; :meth:`MetricsRegistry.from_events`
+replays a recorded log through the same fold, so ``metrics.prom``
+rebuilds from ``events.jsonl`` alone. The fold feeds the SLO tracker
+and the rolling window that the Prometheus page renders. Times are
+microseconds on the driver's clock; percentiles go through
+:func:`repro.eval.metrics.percentile`, as in the CLI tables and benches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Any, Iterable, Mapping
 
-from repro.eval.metrics import percentile
+from repro.obs.events import Event, EventLog, admission_order, depth_change
 from repro.obs.slo import SloTracker
-from repro.obs.windowed import WindowedMetrics
-from repro.serving.request import Response
+from repro.obs.windowed import WindowedMetrics, row_stats
 
 
 class MetricsRegistry:
-    """Accumulates per-request and per-batch observations for one run."""
+    """Whole-run serving aggregates, folded from lifecycle events.
+
+    In flight, the fold holds one arrival per request and one ``(start,
+    members left, replica)`` entry per dispatched batch; each is dropped
+    once its requests terminate.
+    """
 
     def __init__(self, window: WindowedMetrics | None = None) -> None:
-        self.latencies_us: list[float] = []
-        self.queue_us: list[float] = []
-        self.service_us: list[float] = []
-        self.batch_sizes: list[int] = []
-        self.batch_hist: Counter[int] = Counter()
-        self.queue_depths: list[int] = []
-        self.completed = 0
-        self.rejected = 0
-        self.served_seq_tokens = 0
+        self.completed = self.rejected = self.served_seq_tokens = 0
+        self.max_queue_depth = 0
         self.window = window or WindowedMetrics()
         self.slo = SloTracker()
+        self._depth = 0
+        self._batches = self._batched = 0
+        self._arrival_us: dict[int, float] = {}
+        self._started: dict[int, tuple[float, int, int]] = {}
         self._first_arrival_us: float | None = None
         self._last_finish_us = 0.0
 
-    # ---- observation ------------------------------------------------------
+    @classmethod
+    def from_events(cls, events: EventLog | Iterable[Event]
+                    ) -> "MetricsRegistry":
+        """The registry a live fold of a recorded run ended with."""
+        metrics = cls()
+        for e in admission_order(events):
+            metrics.fold(e.kind, e.ts_us, e.fields)
+        return metrics
 
-    def observe_response(self, resp: Response) -> None:
-        """Record one terminal response (served or rejected)."""
+    # ---- the fold ---------------------------------------------------------
+
+    def fold(self, kind: str, ts_us: float,
+             fields: Mapping[str, Any]) -> None:
+        """Fold one event (fields as in :class:`~repro.obs.events.Event`)."""
+        if kind == "admit":
+            self.max_queue_depth = max(self.max_queue_depth, self._depth)
+            self._arrival_us[fields["rid"]] = ts_us
+        elif kind == "dispatch":
+            size, bucket = fields["size"], fields["bucket"]
+            self._started[fields["batch_id"]] = (ts_us, size,
+                                                 fields["replica"])
+            self._batches += 1
+            self._batched += size
+            self.window.now_us = max(self.window.now_us, ts_us)
+            self.window.batch_hist.setdefault(bucket, Counter())[size] += 1
+        elif kind in ("complete", "reject"):
+            self._terminal(kind, ts_us, fields)
+        elif kind == "worker_death":  # its batches are re-dispatched or shed
+            for bid, (_, _, replica) in list(self._started.items()):
+                if replica == fields["replica"]:
+                    del self._started[bid]
+        elif kind == "exec" and fields.get("detail") == "error":
+            self._started.pop(fields["batch_id"], None)  # members are shed
+        self._depth += depth_change(kind, fields)
+
+    def _terminal(self, kind: str, ts_us: float,
+                  fields: Mapping[str, Any]) -> None:
+        arrival = self._arrival_us.pop(fields["rid"])
         if self._first_arrival_us is None or \
-                resp.arrival_us < self._first_arrival_us:
-            self._first_arrival_us = resp.arrival_us
+                arrival < self._first_arrival_us:
+            self._first_arrival_us = arrival
         # Rejections are terminal events too: a run ending in a rejection
         # burst must extend the makespan, or throughput_seq_s is skewed.
-        self._last_finish_us = max(self._last_finish_us, resp.finish_us)
-        slo_met = self.slo.observe(resp)  # rejections count as misses
-        if not resp.ok:
+        self._last_finish_us = max(self._last_finish_us, ts_us)
+        slo_met = self.slo.observe(fields)  # rejections count as misses
+        if kind == "reject":
             self.rejected += 1
             return
+        bid = fields["batch_id"]
+        start, left, replica = self._started[bid]
+        if left > 1:
+            self._started[bid] = (start, left - 1, replica)
+        else:
+            del self._started[bid]
         self.completed += 1
-        self.served_seq_tokens += resp.seq_len
-        self.latencies_us.append(resp.latency_us)
-        self.queue_us.append(resp.queue_us)
-        self.service_us.append(resp.service_us)
-        self.window.observe_request(resp.finish_us, resp.latency_us,
-                                    resp.queue_us, slo_met=slo_met)
+        self.served_seq_tokens += fields["seq_len"]
+        self.window.now_us = max(self.window.now_us, ts_us)
+        self.window.done.append((ts_us, fields["rid"], ts_us - arrival,
+                                 start - arrival, slo_met))
 
-    def observe_batch(self, size: int, bucket: int = -1,
-                      ts_us: float = 0.0) -> None:
-        """Record one dispatched batch's size (and bucket, for the window)."""
-        self.batch_sizes.append(size)
-        self.batch_hist[size] += 1
-        self.window.observe_batch(ts_us, size, bucket)
-
-    def observe_queue_depth(self, depth: int) -> None:
-        """Sample the queue depth (taken at each admission)."""
-        self.queue_depths.append(depth)
+    @property
+    def in_flight(self) -> int:
+        """Requests and batches the fold still holds state for."""
+        return len(self._arrival_us) + len(self._started)
 
     # ---- aggregates -------------------------------------------------------
 
-    def latency_percentile_us(self, p: float) -> float:
-        """End-to-end latency percentile (cost-model microseconds)."""
-        return percentile(self.latencies_us, p)
+    @property
+    def latencies_us(self) -> list[float]:
+        """End-to-end latency of every served request, in finish order."""
+        return [d[2] for d in sorted(self.window.done)]
 
     @property
     def mean_batch_size(self) -> float:
         """Mean dispatched batch size."""
-        if not self.batch_sizes:
-            return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
-
-    @property
-    def max_queue_depth(self) -> int:
-        """Deepest queue observed at an admission."""
-        return max(self.queue_depths, default=0)
+        return self._batched / self._batches if self._batches else 0.0
 
     @property
     def makespan_us(self) -> float:
@@ -98,21 +123,19 @@ class MetricsRegistry:
             return 0.0
         return self._last_finish_us - self._first_arrival_us
 
+    def _per_s(self, count: int) -> float:
+        span = self.makespan_us
+        return count / (span / 1e6) if span > 0.0 else 0.0
+
     @property
     def throughput_seq_s(self) -> float:
-        """Served sequences per second of cost-model timeline."""
-        span = self.makespan_us
-        if span <= 0.0:
-            return 0.0
-        return self.completed / (span / 1e6)
+        """Served sequences per second of driver-clock makespan."""
+        return self._per_s(self.completed)
 
     @property
     def goodput_seq_s(self) -> float:
         """Deadline-meeting sequences per second of driver-clock makespan."""
-        span = self.makespan_us
-        if span <= 0.0:
-            return 0.0
-        return self.slo.met / (span / 1e6)
+        return self._per_s(self.slo.met)
 
     def snapshot(self) -> dict[str, float]:
         """The report counters as one flat dict (tests and benches).
@@ -121,21 +144,16 @@ class MetricsRegistry:
         keys are present with 0.0 defaults even when nothing completed, so
         JSON consumers and run-to-run diffs always see the same schema.
         """
-        out: dict[str, float] = {
+        return {
             "completed": float(self.completed),
             "rejected": float(self.rejected),
             "mean_batch_size": self.mean_batch_size,
             "max_queue_depth": float(self.max_queue_depth),
             "makespan_us": self.makespan_us,
             "throughput_seq_s": self.throughput_seq_s,
+            **row_stats(sorted(self.window.done)),
+            "slo_total": float(self.slo.total),
+            "slo_met": float(self.slo.met),
+            "slo_attainment": self.slo.attainment,
+            "goodput_seq_s": self.goodput_seq_s,
         }
-        for p in (50.0, 95.0, 99.0):
-            out[f"p{p:g}_latency_us"] = (
-                self.latency_percentile_us(p) if self.latencies_us else 0.0)
-        out["mean_queue_us"] = (
-            sum(self.queue_us) / len(self.queue_us) if self.queue_us else 0.0)
-        out["slo_total"] = float(self.slo.total)
-        out["slo_met"] = float(self.slo.met)
-        out["slo_attainment"] = self.slo.attainment
-        out["goodput_seq_s"] = self.goodput_seq_s
-        return out

@@ -29,6 +29,7 @@ replica identity, or worker count.
 
 from __future__ import annotations
 
+import os
 import queue as std_queue
 import threading
 import time
@@ -65,6 +66,7 @@ from repro.serving.pool.worker import (
 )
 from repro.serving.request import Request, Response
 from repro.serving.server import LiveServer
+from repro.threads import pin_blas_threads
 
 
 class PoolServer(LiveServer):
@@ -80,7 +82,6 @@ class PoolServer(LiveServer):
         max_depth: int = 64,
         max_inflight_per_tenant: int | None = None,
         tenant_quotas: dict[int, int] | None = None,
-        payload_table: dict[int, np.ndarray] | None = None,
         pipeline_depth: int = 2,
         return_outputs: bool = True,
         start_timeout_s: float = 120.0,
@@ -96,7 +97,6 @@ class PoolServer(LiveServer):
                          slo)
         self.engine = engine  # parent-side: weights, name, cost pricing
         self.n_workers = n_workers
-        self.payload_table = payload_table
         self.pipeline_depth = pipeline_depth
         self.return_outputs = return_outputs
         self.start_timeout_s = start_timeout_s
@@ -131,9 +131,7 @@ class PoolServer(LiveServer):
         cached = self._prices.get(seq_len)
         if cached is not None:
             return cached
-        x = None if self.payload_table is None \
-            else self.payload_table.get(seq_len)
-        t = self.engine.latency_us(seq_len=seq_len, x=x)
+        t = self.engine.latency_us(seq_len=seq_len)
         with self._price_lock:
             self._prices[seq_len] = t
         return t
@@ -159,9 +157,10 @@ class PoolServer(LiveServer):
                 self._procs[rid] = self._ctx.Process(
                     target=replica_main,
                     args=(rid, self._store.manifest, self.engine.name, tq,
-                          self._result_q, self.payload_table),
+                          self._result_q),
                     name=f"pool-replica-{rid}", daemon=True)
             procs = list(self._procs.values())
+        pinned = pin_blas_threads()  # the replicas inherit the environment
         try:
             for p in procs:
                 p.start()
@@ -172,6 +171,9 @@ class PoolServer(LiveServer):
             with self._work:
                 self._collecting = False
             raise
+        finally:
+            for var in pinned:
+                del os.environ[var]
         with self._work:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="pool-dispatch", daemon=True)
@@ -281,6 +283,10 @@ class PoolServer(LiveServer):
             if p.is_alive():  # wedged replica: the pool must still come down
                 p.terminate()
                 p.join(timeout=5)
+        # Tasks a dead replica never read must not hold this process's
+        # exit on a full pipe.
+        for tq in tqs.values():
+            tq.cancel_join_thread()  # type: ignore[attr-defined]
 
     def _drain_stray_messages(self) -> None:
         """Collect goodbyes (and drop stragglers) after the collector exits."""
@@ -315,11 +321,9 @@ class PoolServer(LiveServer):
     def _on_steal(self, thief: int, victim: int, batch: Batch) -> None:
         """Router steal observer: record the migration in the recorder."""
         with self._work:  # re-entrant: _feed steals while holding it
-            if self._core.events.enabled:
-                self._core.events.emit(
-                    "steal", self._now_us(), batch_id=batch.batch_id,
-                    bucket=batch.bucket, size=batch.size, replica=thief,
-                    src=victim)
+            self._core.emit("steal", self._now_us(), batch_id=batch.batch_id,
+                            bucket=batch.bucket, size=batch.size,
+                            replica=thief, src=victim)
 
     # ---- client API -------------------------------------------------------
 
@@ -339,9 +343,8 @@ class PoolServer(LiveServer):
             # Quota rejections precede rid assignment: the event carries
             # the tenant, not a rid (the request never entered the system).
             with self._work:
-                if self._core.events.enabled:
-                    self._core.events.emit("quota_reject", self._now_us(),
-                                           seq_len=seq_len, tenant=client)
+                self._core.emit("quota_reject", self._now_us(),
+                                seq_len=seq_len, tenant=client)
             raise
         try:
             return super().submit(x, priority, client)
@@ -408,25 +411,15 @@ class PoolServer(LiveServer):
                     self._sent[batch.batch_id] = (rid, batch, start)
                     self._inpipe[rid] = self._inpipe.get(rid, 0) + 1
                     self._core.dispatched(batch, rid, start)
-                    sends.append((rid, self._make_task(batch)))
+                    sends.append((rid, BatchTask(
+                        batch_id=batch.batch_id,
+                        payloads=[r.x for r in batch.requests],
+                        return_outputs=self.return_outputs)))
         for rid, task in sends:
             try:
                 self._task_qs[rid].put(task)  # type: ignore[attr-defined]
             except (ValueError, OSError):
                 pass  # pipe died with its replica; the reaper re-books it
-
-    def _make_task(self, batch: Batch) -> BatchTask:
-        """Ship payload-table lengths instead of arrays when possible."""
-        payloads: list[object] = []
-        for r in batch.requests:
-            if (self.payload_table is not None
-                    and r.x is self.payload_table.get(r.seq_len)):
-                payloads.append(r.seq_len)
-            else:
-                payloads.append(r.x)
-        return BatchTask(
-            batch_id=batch.batch_id, payloads=payloads,
-            return_outputs=self.return_outputs)
 
     # ---- collector --------------------------------------------------------
 
@@ -462,12 +455,11 @@ class PoolServer(LiveServer):
                 if result.counters:
                     self._replica_counters[result.worker_id] = \
                         dict(result.counters)
-                if self._core.events.enabled:
-                    self._core.events.emit(
-                        "exec", start + result.service_us,
-                        batch_id=result.batch_id, bucket=batch.bucket,
-                        size=batch.size, replica=result.worker_id,
-                        detail=result.error and "error")
+                self._core.emit(
+                    "exec", start + result.service_us,
+                    batch_id=result.batch_id, bucket=batch.bucket,
+                    size=batch.size, replica=result.worker_id,
+                    detail=result.error and "error")
         if entry is None:
             return  # batch was re-booked after a presumed death; drop dup
         self._router.complete(result.batch_id)  # type: ignore[union-attr]
@@ -512,9 +504,7 @@ class PoolServer(LiveServer):
         for rid in dead:
             todo.extend(router.retire(rid))
             with self._work:
-                if self._core.events.enabled:
-                    self._core.events.emit("worker_death", self._now_us(),
-                                           replica=rid)
+                self._core.emit("worker_death", self._now_us(), replica=rid)
                 self.worker_deaths += 1
                 retained = [(bid, b) for bid, (r, b, _s)
                             in self._sent.items() if r == rid]
@@ -529,10 +519,9 @@ class PoolServer(LiveServer):
             for b in todo:
                 new_rid = router.assign(b)
                 with self._work:
-                    if self._core.events.enabled:
-                        self._core.events.emit(
-                            "rebook", self._now_us(), batch_id=b.batch_id,
-                            bucket=b.bucket, size=b.size, replica=new_rid)
+                    self._core.emit("rebook", self._now_us(),
+                                    batch_id=b.batch_id, bucket=b.bucket,
+                                    size=b.size, replica=new_rid)
         else:
             self._reject([r for b in todo for r in b.requests], "shed")
         with self._work:
@@ -549,13 +538,12 @@ def build_pool_server(
 ) -> tuple[PoolServer, dict[int, np.ndarray], BucketPolicy, int]:
     """A pool configured like the loadgen scheduler for ``spec``.
 
-    Same engine, payload table, bucket and SLO policy as
+    Same engine, payloads, bucket and SLO policy as
     :func:`~repro.serving.loadgen.run_loadgen`, so
     :func:`~repro.serving.loadgen.drive_server` serves it the same seeded
-    work as the thread-backed server. Returns ``(server, payloads,
-    policy, crossover)``; the server is not started. The replicas get the
-    payload table: steady-state tasks ship sequence-length references,
-    not arrays, and each replica memoizes the table payloads' results.
+    work as the thread-backed server, and like it runs every request.
+    Returns ``(server, payloads, policy, crossover)``; the server is not
+    started.
     """
     cfg = spec.model_config()
     engine = build_engine(spec)
@@ -566,7 +554,6 @@ def build_pool_server(
     server = PoolServer(
         engine, policy, n_workers=n_workers, max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us, max_depth=spec.max_depth,
-        payload_table=payloads,
         return_outputs=return_outputs,
         max_inflight_per_tenant=max_inflight_per_tenant,
         events=events, slo=make_slo_policy(spec, engine, policy),

@@ -4,9 +4,9 @@ One :func:`replica_main` runs per pool replica (spawned process). It maps
 the parent's :class:`~repro.runtime.shm.WeightManifest` into zero-copy
 read-only weight views and builds its *own* engine on them, then loops:
 take a :class:`BatchTask` off its task queue, run it through an
-:class:`~repro.serving.scheduler.EngineWorker` that memoizes the
-payload-table entries, and ship a :class:`BatchResult` back on the shared
-result queue.
+:class:`~repro.serving.scheduler.EngineWorker`, and ship a
+:class:`BatchResult` back on the shared result queue. Every request runs
+on the engine, as on the thread-backed server.
 
 Determinism: a batch's outputs and cost-model latencies are a pure
 function of its inputs (each member runs on its own, independent of
@@ -14,12 +14,9 @@ batch composition), so results do not depend on which
 replica ran the batch, how batches interleaved, or how many workers the
 pool has — the property the pool determinism tests pin down.
 
-IPC discipline: payload entries may be plain arrays *or* integer
-sequence-length references into a ``payload_table`` shipped once at
-process start (the load generator builds exactly one payload per length),
-so steady-state tasks cost a few hundred bytes instead of re-pickling
-``(s, d_model)`` float64 payloads per request; ``return_outputs=False``
-additionally elides the response tensors for throughput benchmarking.
+IPC discipline: a task ships its ``(s, d_model)`` payload arrays;
+``return_outputs=False`` elides the response tensors for throughput
+benchmarking.
 """
 
 from __future__ import annotations
@@ -52,11 +49,10 @@ class WorkerHello:
 class BatchTask:
     """One batch of work shipped to a replica.
 
-    ``payloads`` holds, per request, either the ``(s, d_model)`` array
-    itself or an ``int`` sequence length referencing the replica's payload
-    table (see module docstring). Requests are identified positionally —
-    the parent retains the real :class:`~repro.serving.batcher.Batch` and
-    re-associates results by index, so rids never cross the pipe.
+    ``payloads`` holds each request's ``(s, d_model)`` array. Requests
+    are identified positionally — the parent retains the real
+    :class:`~repro.serving.batcher.Batch` and re-associates results by
+    index, so rids never cross the pipe.
     """
 
     batch_id: int
@@ -94,27 +90,12 @@ def worker_counters(worker: EngineWorker) -> dict[str, float]:
     return {"busy_us": worker.busy_us, "batches": float(worker.batches_run)}
 
 
-def _resolve_payload(entry: object,
-                     payload_table: dict[int, np.ndarray] | None
-                     ) -> np.ndarray:
-    """An array entry passes through; an int is a payload-table reference."""
-    if isinstance(entry, (int, np.integer)):
-        if payload_table is None:
-            raise ValueError(
-                f"task references payload length {entry} but this replica "
-                f"has no payload table")
-        return payload_table[int(entry)]
-    return np.asarray(entry)
-
-
-def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
-             payload_table: dict[int, np.ndarray] | None) -> BatchResult:
+def run_task(task: BatchTask, worker: EngineWorker,
+             worker_id: int) -> BatchResult:
     """Execute one task; always returns a result (errors are reported)."""
     try:
-        reqs = [
-            Request(rid=i, x=_resolve_payload(p, payload_table))
-            for i, p in enumerate(task.payloads)
-        ]
+        reqs = [Request(rid=i, x=np.asarray(p))
+                for i, p in enumerate(task.payloads)]
         batch = Batch(batch_id=task.batch_id, bucket=-1, requests=reqs)
         results, service_us = worker.process(batch)
     except Exception as exc:  # report, don't kill the replica
@@ -132,8 +113,7 @@ def run_task(task: BatchTask, worker: EngineWorker, worker_id: int,
 
 
 def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
-                 task_q: "MpQueue", result_q: "MpQueue",
-                 payload_table: dict[int, np.ndarray] | None = None) -> None:
+                 task_q: "MpQueue", result_q: "MpQueue") -> None:
     """Entry point of one replica process (spawn target).
 
     Attaches the shared weight segment, builds the engine over read-only
@@ -149,10 +129,7 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
 
     store = SharedWeightStore.attach(manifest)
     try:
-        engine = ENGINE_CLASSES[engine_name](store.weights())
-        # A resolved payload-table reference *is* the table's array, so
-        # the worker's memo serves exactly the table payloads.
-        worker = EngineWorker(engine, payload_table=payload_table)
+        worker = EngineWorker(ENGINE_CLASSES[engine_name](store.weights()))
         result_q.put(WorkerHello(worker_id=worker_id))
         while True:
             try:
@@ -161,7 +138,7 @@ def replica_main(worker_id: int, manifest: WeightManifest, engine_name: str,
                 return
             if task is STOP:
                 break
-            result_q.put(run_task(task, worker, worker_id, payload_table))
+            result_q.put(run_task(task, worker, worker_id))
         result_q.put(WorkerGoodbye(
             worker_id=worker_id, batches_run=worker.batches_run,
             busy_us=worker.busy_us))

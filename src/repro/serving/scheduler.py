@@ -30,7 +30,7 @@ class EngineWorker:
     """One engine behind the batcher's ``run_batch`` API.
 
     With a ``payload_table`` (one shared input array per sequence length,
-    as the load generator and the pool's replicas hold) the worker runs
+    as the virtual-time load generator holds) the worker runs
     each table array once and reuses its result afterwards. Only requests
     whose input *is* the table's array for their length hit the memo, so
     any other input of the same length still runs on the engine — a
@@ -123,7 +123,7 @@ class Scheduler:
                 try:
                     core.admit(req)
                 except QueueFullError:
-                    settle(core.refuse(req))
+                    settle(Response.rejected(req, req.arrival_us))
             # Workers take batches in index order; batch choice itself is
             # deterministic (oldest-first), so the whole step is replayable.
             for w_idx, worker in enumerate(self.workers):

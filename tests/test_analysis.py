@@ -558,9 +558,8 @@ def test_et4xx_fire_on_seeded_live_server_races(tmp_path, case):
 def test_et702_fires_on_core_admit_without_reject(tmp_path):
     findings = _lint_seeded_serving(
         tmp_path, "core.py",
-        "            if self.events.enabled:\n"
-        "                self.events.emit(\"reject\", req.arrival_us,\n"
-        "                                 **_reject_fields(req, \"queue_full\"))\n",
+        "            self.emit(\"reject\", req.arrival_us,\n"
+        "                      **_reject_fields(req, \"queue_full\"))\n",
         "")
     assert [f[:2] for f in findings if f[0].startswith("ET7")] == \
         [("ET702", "serving/core.py")]

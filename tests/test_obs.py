@@ -2,7 +2,8 @@
 
 Also covers the previously untested Timeline paths the trace is built on
 (``time_by_region``, ``roofline_report``, nested regions under
-``run_batch``) and the MetricsRegistry schema/terminal-time fixes.
+``run_batch``) and the MetricsRegistry fold: its schema, terminal
+times, and equality with a replay of the recorded event log.
 """
 
 import importlib.util
@@ -40,8 +41,6 @@ from repro.serving import (
     AsyncServer,
     LoadgenSpec,
     MetricsRegistry,
-    Response,
-    ResponseStatus,
     make_policy,
     make_slo_policy,
     run_loadgen,
@@ -133,23 +132,52 @@ class TestTimelineRegions:
 
 
 # ---------------------------------------------------------------------------
-# MetricsRegistry satellites: schema stability, rejected terminal times
+# MetricsRegistry: the fold's schema, rejected terminal times, the window
 # ---------------------------------------------------------------------------
 
 
-def _resp(rid, arrival, start, finish, ok=True, seq_len=16):
-    status = ResponseStatus.OK if ok else ResponseStatus.REJECTED
-    return Response(rid=rid, status=status, arrival_us=arrival,
-                    start_us=start, finish_us=finish,
-                    service_us=finish - start, seq_len=seq_len)
+def _served(m, rid, arrival, start, finish, slo_met=None):
+    """Fold the events of one request served alone in batch ``rid``."""
+    batch = {"batch_id": rid, "bucket": 0, "size": 1}
+    m.fold("admit", arrival, {"rid": rid, "seq_len": 16, "tenant": 0})
+    m.fold("enqueue", arrival, {"rid": rid, "seq_len": 16})
+    m.fold("batch_formed", start, batch)
+    m.fold("dispatch", start, {**batch, "replica": 0})
+    m.fold("complete", finish, {**batch, "rid": rid, "seq_len": 16,
+                                "tenant": 0, "replica": 0,
+                                "slo_met": slo_met})
+
+
+def _rejected(m, rid, arrival, finish):
+    """Fold the events of one request shed at ``finish``."""
+    m.fold("admit", arrival, {"rid": rid, "seq_len": 16, "tenant": 0})
+    m.fold("enqueue", arrival, {"rid": rid, "seq_len": 16})
+    m.fold("reject", finish, {"rid": rid, "seq_len": 16, "tenant": 0,
+                              "detail": "shed"})
+
+
+def _completed(m, rid, finish, latency, queue, slo_met=None):
+    """One request completing at ``finish``, folded into ``m``."""
+    arrival = finish - latency
+    _served(m, rid, arrival, arrival + queue, finish, slo_met)
+
+
+def _window(**kw):
+    """A registry over a fresh window, and the window."""
+    m = MetricsRegistry(WindowedMetrics(**kw))
+    return m, m.window
+
+
+def _dispatched(m, size, bucket):
+    m.fold("dispatch", 0.0, {"batch_id": 0, "bucket": bucket, "size": size,
+                             "replica": 0})
 
 
 class TestMetricsRegistry:
     def test_snapshot_schema_is_stable(self):
         empty = MetricsRegistry()
         busy = MetricsRegistry()
-        busy.observe_response(_resp(0, 0.0, 10.0, 50.0))
-        busy.observe_batch(1, bucket=0, ts_us=10.0)
+        _served(busy, 0, 0.0, 10.0, 50.0)
         assert set(empty.snapshot()) == set(busy.snapshot())
         for p in (50, 95, 99):
             assert empty.snapshot()[f"p{p}_latency_us"] == 0.0
@@ -157,38 +185,54 @@ class TestMetricsRegistry:
 
     def test_rejections_extend_makespan(self):
         m = MetricsRegistry()
-        m.observe_response(_resp(0, 0.0, 10.0, 50.0))
-        m.observe_response(_resp(1, 90.0, 100.0, 100.0, ok=False))
+        _served(m, 0, 0.0, 10.0, 50.0)
+        _rejected(m, 1, 90.0, 100.0)
         assert m.makespan_us == pytest.approx(100.0)
         assert m.throughput_seq_s == pytest.approx(1 / 100e-6)
 
+    @pytest.mark.parametrize("kind, detail", [("exec", "error"),
+                                              ("worker_death", None)])
+    def test_shed_batch_leaves_no_fold_state(self, kind, detail):
+        """A dispatched batch whose members are shed, after a failed
+        execution or with its last replica, keeps no in-flight entry."""
+        m = MetricsRegistry()
+        batch = {"batch_id": 0, "bucket": 0, "size": 1}
+        m.fold("admit", 0.0, {"rid": 0, "seq_len": 16, "tenant": 0})
+        m.fold("enqueue", 0.0, {"rid": 0, "seq_len": 16})
+        m.fold("batch_formed", 1.0, batch)
+        m.fold("dispatch", 1.0, {**batch, "replica": 0})
+        m.fold(kind, 2.0, {**batch, "replica": 0, "detail": detail})
+        m.fold("reject", 2.0, {"rid": 0, "seq_len": 16, "tenant": 0,
+                               "detail": "shed"})
+        assert (m.rejected, m.in_flight) == (1, 0)
+
     def test_rejection_only_run_has_nonzero_makespan(self):
         m = MetricsRegistry()
-        m.observe_response(_resp(0, 5.0, 25.0, 25.0, ok=False))
+        _rejected(m, 0, 5.0, 25.0)
         assert m.makespan_us == pytest.approx(20.0)
         assert m.throughput_seq_s == 0.0
 
 
 class TestWindowedMetrics:
     def test_window_prunes_old_observations(self):
-        w = WindowedMetrics(window_us=100.0)
-        w.observe_request(0.0, 10.0, 1.0)
-        w.observe_request(50.0, 20.0, 2.0)
+        m, w = _window(window_us=100.0)
+        _completed(m, 0, 0.0, 10.0, 1.0)
+        _completed(m, 1, 50.0, 20.0, 2.0)
         assert w.window_count == 2
-        w.observe_request(200.0, 30.0, 3.0)
+        _completed(m, 2, 200.0, 30.0, 3.0)
         assert w.window_count == 1  # first two fell out of the window
         assert w.latency_percentile_us(50.0) == pytest.approx(30.0)
 
     def test_ewma_throughput_tracks_completion_rate(self):
-        w = WindowedMetrics(ewma_alpha=0.5)
+        m, w = _window(ewma_alpha=0.5)
         for i in range(1, 11):
-            w.observe_request(i * 1000.0, 10.0, 0.0)  # 1 per ms
+            _completed(m, i, i * 1000.0, 10.0, 0.0)  # 1 per ms
         assert w.ewma_throughput_seq_s == pytest.approx(1000.0, rel=1e-6)
 
     def test_batch_histogram_cumulative_rows(self):
-        w = WindowedMetrics()
+        m, w = _window()
         for size in (1, 2, 2, 5):
-            w.observe_batch(0.0, size, bucket=3)
+            _dispatched(m, size, bucket=3)
         rows = dict(w.hist_cumulative(3))
         assert rows["1"] == 1 and rows["2"] == 3
         assert rows["8"] == 4 and rows["+Inf"] == 4
@@ -291,6 +335,65 @@ class TestTracer:
         assert chrome_trace_json(*from_file) == \
             chrome_trace_json(*build_trace(events, res.engine))
 
+
+
+# ---------------------------------------------------------------------------
+# Metrics rebuilt from the event log alone
+# ---------------------------------------------------------------------------
+
+
+class TestMetricsFold:
+    @pytest.mark.parametrize("kw", [
+        {},  # open loop
+        {"mode": "closed", "clients": 4},  # equal-timestamp admits at t=0
+        {"rate_per_s": 200_000.0, "num_requests": 40, "max_depth": 4},
+    ], ids=["open", "closed", "overload"])
+    def test_fold_of_written_log_equals_live_page(self, tmp_path, kw):
+        events = EventLog()
+        res = run_loadgen(_small_spec(slo_us=0.0, **kw), events=events)
+        path = tmp_path / "events.jsonl"
+        write_events(str(path), events)
+        folded = MetricsRegistry.from_events(read_events(str(path)))
+        assert prometheus_text(folded) == prometheus_text(res.metrics)
+        assert folded.in_flight == res.metrics.in_flight == 0
+        if kw.get("max_depth") == 4:
+            assert res.metrics.rejected > 0
+            assert res.metrics.max_queue_depth == 4
+
+    def test_checker_exits_7_when_the_page_is_not_the_fold(self, tmp_path):
+        checker = _load_checker()
+        events = EventLog()
+        res = run_loadgen(_small_spec(slo_us=0.0), events=events)
+        trace, prom, log = (tmp_path / n for n in ("t.json", "m.prom",
+                                                   "e.jsonl"))
+        trace.write_text(chrome_trace_json(*build_trace(events, res.engine))
+                         + "\n")
+        page = prometheus_text(res.metrics)
+        prom.write_text(page)
+        write_events(str(log), events)
+        args = [str(trace), str(prom), str(log)]
+        assert checker.main(args) == 0
+        edited = page.replace("repro_requests_rejected_total 0",
+                              "repro_requests_rejected_total 1")
+        assert edited != page
+        prom.write_text(edited)  # still valid exposition, not the fold
+        assert checker.main(args) == checker.EXIT_FOLD == 7
+
+    def test_closed_loop_depth_needs_the_core_order(self):
+        """The CI closed-loop run: four clients arrive together at t=0.
+        Replaying the canonical log as is reads depth 0; moving each
+        enqueue up behind its admit reads the live 3."""
+        events = EventLog()
+        res = run_loadgen(LoadgenSpec(model="small", num_requests=60,
+                                      mode="closed", clients=4,
+                                      max_seq_len=64, seq_step=16),
+                          events=events)
+        naive = MetricsRegistry()
+        for e in events.sorted_events():
+            naive.fold(e.kind, e.ts_us, e.fields)
+        assert res.metrics.max_queue_depth == 3
+        assert MetricsRegistry.from_events(events).max_queue_depth == 3
+        assert naive.max_queue_depth == 0
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +726,12 @@ class TestSloPolicy:
 
     def test_tracker_groups_and_misses(self):
         t = SloTracker()
-        mk = lambda met, bucket, client, replica: Response(  # noqa: E731
-            rid=0, status=ResponseStatus.OK, arrival_us=0.0,
-            finish_us=1.0 if met else 3.0, bucket=bucket, client=client,
-            replica=replica, deadline_us=2.0)
+        mk = lambda met, bucket, client, replica: {  # noqa: E731
+            "rid": 0, "bucket": bucket, "tenant": client,
+            "replica": replica, "deadline_us": 2.0, "slo_met": met}
         assert t.observe(mk(True, 0, 0, 1)) is True
         assert t.observe(mk(False, 1, 0, -1)) is False
-        no_slo = Response(rid=2, status=ResponseStatus.OK,
-                          arrival_us=0.0, finish_us=9.0)
+        no_slo = {"rid": 2, "bucket": 0, "tenant": 0, "replica": 0}
         assert t.observe(no_slo) is None
         assert (t.total, t.met) == (2, 1)
         assert t.attainment == 0.5
@@ -830,8 +931,8 @@ class TestHistory:
 
 class TestWindowedEdgeCases:
     def test_single_sample_percentiles_collapse(self):
-        w = WindowedMetrics()
-        w.observe_request(10.0, latency_us=123.0, queue_us=7.0)
+        m, w = _window()
+        _completed(m, 0, 10.0, latency=123.0, queue=7.0)
         snap = w.snapshot()
         assert snap["window_p50_latency_us"] == 123.0
         assert snap["window_p95_latency_us"] == 123.0
@@ -840,28 +941,28 @@ class TestWindowedEdgeCases:
         assert w.ewma_throughput_seq_s == 0.0  # one completion: no rate yet
 
     def test_ewma_decays_after_idle_gap(self):
-        w = WindowedMetrics(ewma_alpha=0.5)
+        m, w = _window(ewma_alpha=0.5)
         for i in range(1, 6):  # steady 1 req / 1000 us = 1000 seq/s
-            w.observe_request(i * 1_000.0, latency_us=10.0, queue_us=0.0)
+            _completed(m, i, i * 1_000.0, latency=10.0, queue=0.0)
         steady = w.ewma_throughput_seq_s
         assert steady == pytest.approx(1000.0, rel=0.01)
         # a 1 s idle gap contributes an instantaneous rate of 1 seq/s
-        w.observe_request(5_000.0 + 1e6, latency_us=10.0, queue_us=0.0)
+        _completed(m, 6, 5_000.0 + 1e6, latency=10.0, queue=0.0)
         assert w.ewma_throughput_seq_s == \
             pytest.approx(0.5 * steady + 0.5 * 1.0)
 
     def test_slo_window_prunes_like_latency(self):
-        w = WindowedMetrics(window_us=1_000.0)
-        w.observe_request(0.0, 1.0, 0.0, slo_met=False)
-        w.observe_request(500.0, 1.0, 0.0, slo_met=True)
+        m, w = _window(window_us=1_000.0)
+        _completed(m, 0, 0.0, 1.0, 0.0, slo_met=False)
+        _completed(m, 1, 500.0, 1.0, 0.0, slo_met=True)
         assert w.window_slo_attainment == 0.5
-        w.observe_request(2_000.0, 1.0, 0.0, slo_met=True)
+        _completed(m, 2, 2_000.0, 1.0, 0.0, slo_met=True)
         assert w.window_slo_attainment == 1.0  # the miss aged out
         assert w.snapshot()["window_slo_attainment"] == 1.0
 
     def test_slo_free_requests_leave_attainment_zero(self):
-        w = WindowedMetrics()
-        w.observe_request(1.0, 1.0, 0.0)  # slo_met=None not recorded
+        m, w = _window()
+        _completed(m, 0, 1.0, 1.0, 0.0)  # slo_met=None not recorded
         assert w.window_slo_attainment == 0.0
 
     def test_batch_histograms_stable_across_worker_counts(self):

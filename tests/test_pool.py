@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 
 from repro.config import small_config
-from repro.obs.events import TERMINAL_KINDS, EventLog
+from repro.obs.events import TERMINAL_KINDS, EventLog, read_events, \
+    write_events
+from repro.obs.prometheus import prometheus_text
 from repro.pruning import PruneMethod
 from repro.runtime import EncoderWeights, ETEngine
 from repro.runtime.shm import SharedWeightStore, segment_exists
-from repro.serving import AsyncServer, make_policy, model_crossover
+from repro.serving import AsyncServer, MetricsRegistry, make_policy, \
+    model_crossover
 from repro.serving.batcher import Batch
 from repro.serving.loadgen import (
     LoadgenSpec,
@@ -305,6 +308,7 @@ class TestPoolServer:
         assert len(responses) == spec.num_requests
         served = [r for r in responses if r.status is ResponseStatus.OK]
         assert served, "survivor replica served no traffic after the crash"
+        assert server.metrics.in_flight == 0
 
     def test_spawn_failure_reraised_and_segment_unlinked(self, monkeypatch):
         """Replica 1's ``start()`` fails: ``start`` re-raises that error,
@@ -352,21 +356,6 @@ class TestPoolServer:
             resp = fut.result(timeout=120.0)
             assert resp.status is ResponseStatus.OK
             server.submit(x, client=5).result(timeout=120.0)  # slot freed
-
-    def test_memo_serves_only_table_payloads(self):
-        """A fresh array of a memoized length runs on the engine; only the
-        payload table's own arrays come from the per-length memo."""
-        spec = _spec()
-        server, payloads, _, _ = build_pool_server(spec, 1)
-        table_x = payloads[16]
-        fresh_x = np.random.default_rng(7).standard_normal(table_x.shape)
-        with server:
-            table = server.submit(table_x).result(timeout=120.0)
-            fresh = server.submit(fresh_x).result(timeout=120.0)
-        engine = build_engine(spec)
-        assert np.array_equal(table.output, engine.run(table_x).output)
-        assert not np.array_equal(fresh.output, table.output)
-        assert np.array_equal(fresh.output, engine.run(fresh_x).output)
 
     def test_metrics_text_has_pool_series(self):
         spec = _spec(num_requests=8)
@@ -447,3 +436,43 @@ def test_batch_lifecycle_holds_on_every_backend(backend):
     assert events.unterminated() == []
     for rid in events.rids():
         assert sum(k in TERMINAL_KINDS for k in events.lifecycle(rid)) == 1
+
+
+# ---- metrics: a fold over the event stream ---------------------------------
+
+
+@pytest.mark.parametrize("backend", ["threads", "pool"])
+def test_live_metrics_equal_the_fold_of_their_log(tmp_path, backend):
+    """The live registry's page equals the fold of the written log, every
+    series alike: the window and EWMA gauges are read in finish order,
+    so live emission order (not timestamp order here) does not show."""
+    spec = _spec(num_requests=24, slo_us=0.0)
+    events = EventLog()
+    if backend == "threads":
+        with _thread_server(spec, events) as server:
+            drive_server(server, spec, build_payloads(spec))
+    else:
+        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        with server:
+            drive_server(server, spec, payloads)
+    path = tmp_path / "events.jsonl"
+    write_events(str(path), events)
+    folded = MetricsRegistry.from_events(read_events(str(path)))
+    assert server.metrics.completed == spec.num_requests
+    assert prometheus_text(folded) == prometheus_text(server.metrics)
+    assert folded.in_flight == server.metrics.in_flight == 0
+
+
+def test_no_drain_stop_leaves_no_fold_state():
+    """A no-drain stop sheds what no replica holds yet; every request
+    still ends once and the fold keeps no per-request or per-batch
+    entry."""
+    spec = _spec(num_requests=32, max_wait_us=50_000.0)
+    server, payloads, _, _ = build_pool_server(spec, 1)
+    server.start()
+    futures = [server.submit(x) for x in request_mix(spec, payloads)]
+    server.stop(drain=False)
+    responses = [f.result(timeout=120.0) for f in futures]
+    m = server.metrics
+    assert len(responses) == m.completed + m.rejected == spec.num_requests
+    assert m.in_flight == 0

@@ -373,7 +373,7 @@ class TestAsyncServerSmoke:
         assert sorted(r.rid for r in responses) == list(range(40))
         m = server.metrics
         assert m.completed == len(m.latencies_us) == 40
-        assert sum(m.batch_sizes) == 40
+        assert sum(m.window.batch_sum.values()) == 40
         assert events.unterminated() == []
         assert events.counts()["complete"] == 40
 

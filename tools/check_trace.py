@@ -27,7 +27,11 @@ Checks (the CI trace-smoke step runs this against a ``loadgen`` run):
 - waterfall invariants: every completed rid reconstructs to a stage
   waterfall whose stages are contiguous, non-negative, and partition the
   measured latency (complete − admit) exactly, and the Little's-law
-  cross-check (time-integrated queue depth vs λ·W) has ~zero residual.
+  cross-check (time-integrated queue depth vs λ·W) has ~zero residual;
+- the metrics file is the fold of the event log: the registry rebuilt
+  from the log alone (``MetricsRegistry.from_events``) renders the
+  file's serving series byte for byte (a pool page appends its replica
+  series after them).
 
 Exit codes identify which contract broke (CI log triage):
 
@@ -36,7 +40,8 @@ Exit codes identify which contract broke (CI log triage):
 - ``3`` — the Chrome trace failed structural validation;
 - ``4`` — the Prometheus exposition failed validation;
 - ``5`` — more than one artifact failed;
-- ``6`` — the event log failed validation.
+- ``6`` — the event log failed validation;
+- ``7`` — the metrics file is not the fold of the event log.
 """
 
 from __future__ import annotations
@@ -61,13 +66,17 @@ from repro.obs.events import (  # noqa: E402
     EVENT_KINDS,
     TERMINAL_KINDS,
     Event,
+    read_events,
 )
+from repro.obs.prometheus import prometheus_text  # noqa: E402
+from repro.serving.metrics import MetricsRegistry  # noqa: E402
 
 EXIT_OK = 0
 EXIT_TRACE = 3
 EXIT_METRICS = 4
 EXIT_BOTH = 5
 EXIT_EVENTS = 6
+EXIT_FOLD = 7
 
 REQUIRED_KERNEL_ARGS = ("gld_transactions", "gst_transactions",
                         "sm_efficiency", "achieved_gbs")
@@ -317,6 +326,30 @@ def check_events(path: str, errors: list[str]) -> None:
           f"Little's-law residual {law['residual']:g}, kinds: {kinds}")
 
 
+def check_fold(events_path: str, metrics_path: str,
+               errors: list[str]) -> None:
+    """The metrics page must equal the fold of the event log."""
+    try:
+        folded = prometheus_text(
+            MetricsRegistry.from_events(read_events(events_path)))
+        with open(metrics_path, encoding="utf-8") as f:
+            page = f.read()
+    except (OSError, ValueError, KeyError) as e:
+        errors.append(f"fold: cannot fold {events_path}: {e!r}")
+        return
+    if not page.startswith(folded):
+        for lineno, (want, got) in enumerate(
+                zip(folded.splitlines(), page.splitlines()), 1):
+            if want != got:
+                errors.append(f"fold: {metrics_path} line {lineno} reads "
+                              f"{got!r}; the fold of the log gives {want!r}")
+                return
+        errors.append(f"fold: {metrics_path} ends before the folded page")
+        return
+    print(f"fold: the {len(folded.splitlines())}-line serving page "
+          "rebuilds from the event log exactly")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python tools/check_trace.py",
@@ -324,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Prometheus text-exposition file produced by "
                     "'python -m repro loadgen/serve'.",
         epilog="Exit codes: 0 ok, 2 usage, 3 trace invalid, "
-               "4 metrics invalid, 5 several invalid, 6 events invalid.",
+               "4 metrics invalid, 5 several invalid, 6 events invalid, "
+               "7 metrics not the fold of the events.",
     )
     parser.add_argument(
         "trace",
@@ -337,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "events", nargs="?", default=None,
         help="flight-recorder JSONL event log (from --events-out); "
-             "checked for schema, canonical ordering, and terminal "
-             "reachability of every admitted rid")
+             "checked for schema, canonical ordering, terminal "
+             "reachability of every admitted rid, and that the metrics "
+             "file is its fold")
     return parser
 
 
@@ -347,13 +382,16 @@ def main(argv: list[str]) -> int:
     trace_errors: list[str] = []
     metrics_errors: list[str] = []
     events_errors: list[str] = []
+    fold_errors: list[str] = []
     check_trace(args.trace, trace_errors)
     check_metrics(args.metrics, metrics_errors)
     if args.events is not None:
         check_events(args.events, events_errors)
-    for err in trace_errors + metrics_errors + events_errors:
+        check_fold(args.events, args.metrics, fold_errors)
+    for err in trace_errors + metrics_errors + events_errors + fold_errors:
         print(f"FAIL: {err}", file=sys.stderr)
-    failed = [bool(trace_errors), bool(metrics_errors), bool(events_errors)]
+    failed = [bool(trace_errors), bool(metrics_errors), bool(events_errors),
+              bool(fold_errors)]
     if sum(failed) > 1:
         return EXIT_BOTH
     if trace_errors:
@@ -362,6 +400,8 @@ def main(argv: list[str]) -> int:
         return EXIT_METRICS
     if events_errors:
         return EXIT_EVENTS
+    if fold_errors:
+        return EXIT_FOLD
     print("OK: all artifacts pass every check")
     return EXIT_OK
 
