@@ -1,44 +1,43 @@
 """`etlint` — repo-specific static analysis for the E.T. reproduction.
 
-Eight AST passes enforce the invariants the engine's correctness rests on,
+Seven AST passes enforce the invariants the engine's correctness rests on,
 at analysis time instead of at runtime:
 
-1. **kernel-contract** (ET1xx): Equation 6 shared-memory budgets and
-   tensor-core tile geometry, checked against every known
-   :class:`~repro.gpu.device.DeviceSpec` — interprocedurally, through
-   local constant chains and helper functions.
-2. **fp16-safety** (ET2xx): the Section 3.3 scaling-reorder rule — pure
+1. **fp16-safety** (ET2xx): the Section 3.3 scaling-reorder rule — pure
    FP16 ``Q·Kᵀ`` must pre-scale or widen its accumulator; "pre-scaled"
    is tracked flow-sensitively through locals and one-level helpers.
-3. **determinism** (ET3xx): no wall clocks, unseeded RNG, or unsorted set
+2. **determinism** (ET3xx): no wall clocks, unseeded RNG, or unsorted set
    iteration in the paths that back the byte-identical-trace guarantee.
-4. **thread-safety** (ET4xx): ``self.*`` writes and lock-less-collaborator
+3. **thread-safety** (ET4xx): ``self.*`` writes and lock-less-collaborator
    mutations in lock-owning serving classes must hold the class's lock.
-5. **process-safety** (ET501): ``multiprocessing.shared_memory`` may only
+4. **process-safety** (ET501): ``multiprocessing.shared_memory`` may only
    be touched by the pool's weight-store module
    (:mod:`repro.runtime.shm`), which owns the segment lifecycle.
-6. **shm-lifecycle** (ET502–ET504): every raw segment acquisition is
+5. **shm-lifecycle** (ET502–ET504): every raw segment acquisition is
    walked path-sensitively through created/attached → used → closed →
    unlinked — leaks on branches, use-after-close, double-unlink.
-7. **lock-order** (ET6xx): a project-wide lock acquisition-order graph;
+6. **lock-order** (ET6xx): a project-wide lock acquisition-order graph;
    cycles (ET601, with a ``file:line`` witness per edge) and
    non-reentrant re-acquisition through the call graph (ET602).
-8. **event-protocol** (ET7xx): every ``admit`` event must reach a
+7. **event-protocol** (ET7xx): every ``admit`` event must reach a
    terminal ``complete``/``reject``/``rebook`` or an explicit hand-off
    on every path, including the worker-death re-booking contract.
 
 The deep passes share a substrate: :mod:`repro.analysis.callgraph`
-(symbol table + resolved call graph), :mod:`repro.analysis.dataflow`
-(constant propagation + one-level interprocedural summaries), and
-:mod:`repro.analysis.protocol` (a generic protocol-state-machine
-walker). ET001 warns on stale ``# etlint: disable=`` comments.
+(symbol table + resolved call graph) and :mod:`repro.analysis.protocol`
+(a generic protocol-state-machine walker). ET001 warns on stale
+``# etlint: disable=`` comments, the only suppression mechanism.
+
+The kernel-launch contract (Equation 6 shared-memory budgets, 16-row
+tensor-core tiles) is not checked here: its sizes are runtime values,
+so ``KernelCost.validate_launch`` enforces it on every launch and
+``tests/test_gpu_model.py`` pins it across devices and models.
 
 Run ``python -m repro.analysis`` (or ``tools/etlint.py``); see
 ``--list-rules`` for the rule catalogue and DESIGN.md §9/§13 for the
 mapping from rules to paper sections.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import RULES, Finding, Rule, Severity
 from repro.analysis.runner import (
     AnalysisContext,
@@ -50,7 +49,6 @@ from repro.analysis.runner import (
 __all__ = [
     "AnalysisContext",
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "RULES",
     "Rule",

@@ -1,9 +1,8 @@
 """Command-line front end: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 — clean; 1 — non-baselined findings (or parse errors, or
-unused suppressions under ``--strict-suppressions``, or a failed
-``--selftest``); 2 — usage error (bad path, unknown rule, invalid
-baseline file).
+Exit codes: 0 — clean; 1 — findings (or parse errors, or unused
+suppressions under ``--strict-suppressions``, or a failed
+``--selftest``); 2 — usage error (bad path, unknown rule).
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.findings import RULES, Finding, Severity
-from repro.analysis.runner import findings_with_lines, run_analysis
+from repro.analysis.runner import run_analysis
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -26,8 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="etlint: static analysis of the E.T. reproduction's "
-                    "kernel-launch, FP16-safety, determinism, thread-, "
-                    "process-, deadlock-, and event-protocol contracts.",
+                    "FP16-safety, determinism, thread-, process-, "
+                    "deadlock-, and event-protocol contracts.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -38,16 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="finding output format; 'github' emits workflow-command "
              "annotations that overlay PR diffs, 'sarif' a SARIF 2.1.0 "
              "log for code-scanning upload")
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=f"baseline file of intentional exceptions (default: "
-             f"{DEFAULT_BASELINE_NAME} at the repo root when present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file, report everything")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
     parser.add_argument(
         "--rules", metavar="IDS", default=None,
         help="comma-separated rule ids or prefixes to run "
@@ -127,29 +115,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
         rule_filter = lambda rid: rid.startswith(prefixes)  # noqa: E731
 
-    root = Path.cwd()
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else root / DEFAULT_BASELINE_NAME)
-
-    if args.write_baseline:
-        raw = findings_with_lines(paths, root)
-        if rule_filter is not None:
-            raw = [pair for pair in raw if rule_filter(pair[0].rule_id)]
-        Baseline.from_findings(raw).save(baseline_path)
-        print(f"wrote {len(raw)} baseline entr"
-              f"{'y' if len(raw) == 1 else 'ies'} to {baseline_path}")
-        return EXIT_CLEAN
-
-    baseline = None
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    report = run_analysis(paths, root, baseline=baseline,
-                          rule_filter=rule_filter)
+    report = run_analysis(paths, Path.cwd(), rule_filter=rule_filter)
     for err in report.parse_errors:
         print(f"error: cannot parse {err}", file=sys.stderr)
 
@@ -165,13 +131,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                   else finding.format_text())
 
     if args.format not in ("json", "sarif"):
-        suppressed = report.suppressed_inline + report.suppressed_baseline
         summary = (f"etlint: {len(report.findings)} finding"
                    f"{'' if len(report.findings) == 1 else 's'} across "
                    f"{report.files_scanned} files")
-        if suppressed:
-            summary += (f" ({report.suppressed_inline} inline-suppressed, "
-                        f"{report.suppressed_baseline} baselined)")
+        if report.suppressed_inline:
+            summary += f" ({report.suppressed_inline} inline-suppressed)"
         print(summary, file=sys.stderr)
 
     errors = [f for f in report.findings if f.severity is not Severity.WARNING]

@@ -16,6 +16,9 @@ v2 pass consumes:
   class, bare names through imports, ``var.m()`` through a local
   single-constructor assignment).
 
+It also holds the three AST-name helpers the passes share
+(:func:`callee_name`, :func:`dotted_callee`, :func:`keyword_arg`).
+
 Resolution is deliberately *under*-approximate: an edge exists only when
 the callee is provably a scanned function, so passes built on the graph
 report no speculative findings.
@@ -26,8 +29,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
-
-from repro.analysis.resolve import dotted_callee
 
 if TYPE_CHECKING:
     from repro.analysis.runner import SourceFile
@@ -42,6 +43,42 @@ LOCK_FACTORIES = frozenset({
 REENTRANT_FACTORIES = frozenset({"threading.RLock", "RLock"})
 
 FuncNode = ast.FunctionDef | ast.AsyncFunctionDef
+
+
+def callee_name(call: ast.Call) -> str | None:
+    """Terminal name of a call's callee (``f`` for both ``f()`` and ``m.f()``)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def dotted_callee(call: ast.Call) -> str | None:
+    """Full dotted callee path (``np.random.default_rng``), or ``None``."""
+    parts: list[str] = []
+    node: ast.expr = call.func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def keyword_arg(call: ast.Call, name: str,
+                position: int | None = None) -> ast.expr | None:
+    """The expression bound to parameter ``name`` (keyword or positional)."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if position is not None and position < len(call.args):
+        arg = call.args[position]
+        if not isinstance(arg, ast.Starred):
+            return arg
+    return None
 
 
 def _self_attr(node: ast.expr) -> str | None:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
+from repro.analysis.callgraph import callee_name
 from repro.analysis.findings import Finding, make_finding
-from repro.analysis.resolve import callee_name
 
 if TYPE_CHECKING:
     from repro.analysis.runner import AnalysisContext, SourceFile

@@ -24,10 +24,9 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
-from repro.analysis.callgraph import FuncNode
+from repro.analysis.callgraph import FuncNode, callee_name
 from repro.analysis.findings import Finding, make_finding
 from repro.analysis.protocol import ProtocolChecker
-from repro.analysis.resolve import callee_name
 
 if TYPE_CHECKING:
     from repro.analysis.runner import AnalysisContext, SourceFile

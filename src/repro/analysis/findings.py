@@ -3,11 +3,9 @@
 Every rule encodes one invariant the engine's correctness rests on. The
 registry entry names the invariant, the paper section it traces to, and
 the canonical fix, so a finding is actionable without opening the linter
-source. Rule identifiers are stable (baselines and inline suppressions
-reference them) and grouped by pass:
+source. Rule identifiers are stable (inline suppressions reference them)
+and grouped by pass:
 
-- ``ET1xx`` — kernel-launch contracts (Equation 6 budgets, tensor-core
-  tile geometry), :mod:`repro.analysis.kernel_contract`;
 - ``ET2xx`` — FP16 numerical safety (the Section 3.3 scaling reorder),
   :mod:`repro.analysis.fp16_safety`;
 - ``ET3xx`` — determinism of the byte-identical trace/artifact paths,
@@ -86,46 +84,6 @@ class Finding:
 
 
 _RULE_LIST: tuple[Rule, ...] = (
-    Rule(
-        rule_id="ET101",
-        name="kernel-smem-budget",
-        summary="Kernel requests more shared memory per CTA than any known device has per SM",
-        invariant="A CTA's shared-memory request must fit one SM or the kernel "
-                  "cannot launch (Equation 6's budget).",
-        hint="shrink the tile (tile_rows / seq_len term) or split the kernel; "
-             "KernelCost.validate_launch would raise at runtime",
-        paper_ref="Section 3.2, Eq. 6",
-    ),
-    Rule(
-        rule_id="ET102",
-        name="kernel-smem-portability",
-        summary="Kernel's shared-memory request exceeds some known device's per-SM capacity",
-        invariant="Kernels should launch on every DeviceSpec the repo models, "
-                  "not only the largest one.",
-        hint="keep smem_per_cta_bytes within the smallest device budget or "
-             "gate the config on the device",
-        paper_ref="Section 3.2, Eq. 6",
-        severity=Severity.WARNING,
-    ),
-    Rule(
-        rule_id="ET103",
-        name="tensorcore-k-alignment",
-        summary="FP16 tensor-core reduction dimension is not a multiple of 8",
-        invariant="V100 HMMA fragments consume the reduction dimension in "
-                  "chunks of 8 FP16 elements; misaligned d_k falls off the "
-                  "tensor-core fast path.",
-        hint="pad d_k to a multiple of 8 (BERT uses 64)",
-        paper_ref="Section 2.2",
-    ),
-    Rule(
-        rule_id="ET104",
-        name="tile-height-alignment",
-        summary="CTA tile height is not a multiple of the 16-row tensor-core tile edge",
-        invariant="The OTF kernel assigns each CTA whole 16-row tensor-core "
-                  "tiles of a head; other heights waste HMMA lanes.",
-        hint="use a tile_rows that is a multiple of 16",
-        paper_ref="Section 3.1",
-    ),
     Rule(
         rule_id="ET201",
         name="fp16-matmul-prescale",

@@ -15,23 +15,26 @@ FP32. This pass encodes that invariant at the emulation API's call sites:
 "Pre-scaled" is flow-sensitive in v2, not just syntactic: a ``*``/``/``
 expression counts, and so does a **local previously assigned** one
 (``qs = q * scale`` … ``fp16_matmul(qs, k)``) — chains of such
-assignments included — and a call to a one-return helper whose returned
-expression is itself pre-scaled. Call sites whose accumulate/scale_first
-arguments are runtime values are skipped: the pass only reports what it
-can prove from the source.
+assignments included — and a call to a one-return helper, resolved
+through the call graph, whose returned expression is itself pre-scaled.
+Call sites whose accumulate/scale_first arguments are runtime values are
+skipped: the pass only reports what it can prove from the source.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+from repro.analysis.callgraph import FuncNode, callee_name, keyword_arg, \
+    resolve_call
 from repro.analysis.findings import Finding, make_finding
-from repro.analysis.resolve import callee_name, keyword_arg
 
 if TYPE_CHECKING:
-    from repro.analysis.dataflow import SummaryTable
     from repro.analysis.runner import AnalysisContext, SourceFile
+
+#: Maps a call to the scanned function it provably targets, or ``None``.
+HelperLookup = Callable[[ast.Call], FuncNode | None]
 
 #: ``scale_first`` / ``accumulate`` positional slots per checked callee.
 _SCALE_FIRST_POS = {"attention_scores_overflow": 3, "overflow_heatmap": 2}
@@ -59,26 +62,32 @@ def _accumulate_mode(call: ast.Call, callee: str) -> str | None:
     return _literal_str(expr)
 
 
+def _single_return(func: FuncNode) -> ast.expr | None:
+    """The returned expression of a function with exactly one ``return``."""
+    returns = [node for node in ast.walk(func)
+               if isinstance(node, ast.Return) and node.value is not None]
+    return returns[0].value if len(returns) == 1 else None
+
+
 def _is_prescaled(node: ast.expr, scaled: frozenset[str] = frozenset(),
-                  summaries: "SummaryTable | None" = None) -> bool:
+                  helper_of: HelperLookup | None = None) -> bool:
     """Whether an operand expression provably applies a scale factor."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
         return True
     if isinstance(node, ast.Name) and node.id in scaled:
         return True
     if isinstance(node, ast.Call):  # e.g. np.asarray(q * scale)
-        if any(_is_prescaled(arg, scaled, summaries) for arg in node.args
+        if any(_is_prescaled(arg, scaled, helper_of) for arg in node.args
                if not isinstance(arg, ast.Starred)):
             return True
-        if summaries is not None:
-            # One interprocedural level: prescale() helpers whose single
-            # return expression is itself visibly scaled.
-            summary = summaries.summary_for_call(node)
-            if summary is not None and summary.return_expr is not None:
-                callee_scaled = _scaled_locals(summary.info.node)
-                return _is_prescaled(
-                    summary.return_expr,
-                    frozenset(callee_scaled), summaries=None)
+        # One interprocedural level: prescale() helpers whose single
+        # return expression is itself visibly scaled.
+        helper = helper_of(node) if helper_of is not None else None
+        if helper is not None:
+            returned = _single_return(helper)
+            if returned is not None:
+                return _is_prescaled(returned,
+                                     frozenset(_scaled_locals(helper)))
     return False
 
 
@@ -97,7 +106,7 @@ def _scope_nodes(scope: ast.AST) -> list[ast.AST]:
 
 
 def _scaled_locals(scope: ast.AST,
-                   summaries: "SummaryTable | None" = None) -> dict[str, int]:
+                   helper_of: HelperLookup | None = None) -> dict[str, int]:
     """``{name: line}`` for locals bound to pre-scaled expressions.
 
     Processed in line order so assignment chains (``a = q * s; b = a``)
@@ -113,7 +122,7 @@ def _scaled_locals(scope: ast.AST,
         name = assign.targets[0].id  # type: ignore[union-attr]
         known = frozenset(n for n, line in scaled.items()
                           if line < assign.lineno)
-        if _is_prescaled(assign.value, known, summaries):
+        if _is_prescaled(assign.value, known, helper_of):
             scaled[name] = assign.lineno
         else:
             scaled.pop(name, None)
@@ -123,13 +132,19 @@ def _scaled_locals(scope: ast.AST,
 def check_fp16_safety(sf: "SourceFile",
                       ctx: "AnalysisContext") -> list[Finding]:
     """Run the FP16-safety checks over one file."""
+
+    def helper_of(call: ast.Call) -> FuncNode | None:
+        qual = resolve_call(call, sf.module, None, ctx.symbols)
+        info = ctx.symbols.function(qual) if qual is not None else None
+        return info.node if info is not None else None
+
     findings: list[Finding] = []
     scopes: list[ast.AST] = [sf.tree]
     scopes.extend(n for n in ast.walk(sf.tree)
                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
                                     ast.ClassDef)))
     for scope in scopes:
-        scaled_lines = _scaled_locals(scope, ctx.summaries)
+        scaled_lines = _scaled_locals(scope, helper_of)
         for node in _scope_nodes(scope):
             if not isinstance(node, ast.Call):
                 continue
@@ -138,22 +153,24 @@ def check_fp16_safety(sf: "SourceFile",
                                if line < node.lineno)
             callee = callee_name(node)
             if callee == "fp16_matmul":
-                findings.extend(_check_fp16_matmul(sf, ctx, node, scaled))
+                findings.extend(
+                    _check_fp16_matmul(sf, node, scaled, helper_of))
             elif callee in ("attention_scores_overflow", "overflow_heatmap"):
                 findings.extend(_check_scores_call(sf, node, callee))
             elif callee == "to_fp16":
-                findings.extend(_check_fp16_cast(sf, ctx, node, scaled))
+                findings.extend(
+                    _check_fp16_cast(sf, node, scaled, helper_of))
     return findings
 
 
-def _check_fp16_matmul(sf: "SourceFile", ctx: "AnalysisContext",
-                       node: ast.Call,
-                       scaled: frozenset[str]) -> list[Finding]:
+def _check_fp16_matmul(sf: "SourceFile", node: ast.Call,
+                       scaled: frozenset[str],
+                       helper_of: HelperLookup) -> list[Finding]:
     if _accumulate_mode(node, "fp16_matmul") != "fp16" or not node.args:
         return []
     left = node.args[0]
     if isinstance(left, ast.Starred) \
-            or _is_prescaled(left, scaled, ctx.summaries):
+            or _is_prescaled(left, scaled, helper_of):
         return []
     return [make_finding(
         "ET201", sf.display, node.lineno, node.col_offset,
@@ -175,16 +192,16 @@ def _check_scores_call(sf: "SourceFile", node: ast.Call,
         f"Fig. 4 overflow regime")]
 
 
-def _check_fp16_cast(sf: "SourceFile", ctx: "AnalysisContext",
-                     node: ast.Call,
-                     scaled: frozenset[str]) -> list[Finding]:
+def _check_fp16_cast(sf: "SourceFile", node: ast.Call,
+                     scaled: frozenset[str],
+                     helper_of: HelperLookup) -> list[Finding]:
     if len(node.args) != 1:
         return []
     arg = node.args[0]
     if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)):
         return []
-    if _is_prescaled(arg.left, scaled, ctx.summaries) \
-            or _is_prescaled(arg.right, scaled, ctx.summaries):
+    if _is_prescaled(arg.left, scaled, helper_of) \
+            or _is_prescaled(arg.right, scaled, helper_of):
         return []
     return [make_finding(
         "ET203", sf.display, node.lineno, node.col_offset,

@@ -1,10 +1,9 @@
 """Discovery and orchestration for the `etlint` passes.
 
 The runner parses every Python file under the given paths once, builds the
-shared static context — per-module constant environments, the device-spec
-table, the scanned-class lock map, and the v2 substrate (project symbol
-table, call graph, one-level function summaries) — runs each pass over
-each file, then applies inline suppressions and the baseline.
+shared static context — the scanned-class lock map, the project symbol
+table and the call graph — runs each pass over each file, then applies
+inline suppressions.
 
 Inline suppression: a line (or the line directly above it) containing
 ``# etlint: disable=ET301`` (comma-separated ids, or ``all``) silences
@@ -17,7 +16,8 @@ A suppression that silences nothing is itself reported (ET001, WARNING)
 so stale disables cannot accumulate; ``--strict-suppressions`` promotes
 those warnings to CI failures. When ``rule_filter`` restricts the run to
 a subset of rules, ET001 is skipped — a suppression for an un-run rule
-is not evidence of staleness.
+is not evidence of staleness. Inline disables are the only suppression
+mechanism.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import CallGraph, SymbolTable, build_callgraph, \
     build_symbols
-from repro.analysis.dataflow import SummaryTable
 from repro.analysis.findings import Finding, make_finding
-from repro.analysis.resolve import ConstEnv, device_specs, module_constants
 
 if TYPE_CHECKING:
     from repro.analysis.thread_safety import ClassIndex
@@ -43,20 +40,13 @@ _DISABLE_RE = re.compile(r"#\s*etlint:\s*disable=([A-Za-z0-9_,]+)")
 
 @dataclass
 class SourceFile:
-    """One parsed file plus the derived context the passes consume."""
+    """One parsed file, as the passes consume it."""
 
     path: Path
     display: str
     module: str
     tree: ast.Module
     lines: list[str]
-    env: ConstEnv = field(default_factory=dict)
-
-    def source_line(self, lineno: int) -> str:
-        """1-indexed physical line, empty string when out of range."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 @dataclass
@@ -64,12 +54,9 @@ class AnalysisContext:
     """Cross-file facts shared by every pass."""
 
     files: list[SourceFile]
-    modules: dict[str, ast.Module]
-    devices: dict[str, int]
     classes: ClassIndex
     symbols: SymbolTable
     callgraph: CallGraph
-    summaries: SummaryTable
     #: per-run memo space for project-wide passes (computed once,
     #: reported per file) — keyed by pass name
     scratch: dict[str, object] = field(default_factory=dict)
@@ -82,7 +69,6 @@ class AnalysisReport:
     findings: list[Finding]
     files_scanned: int
     suppressed_inline: int
-    suppressed_baseline: int
     parse_errors: list[str] = field(default_factory=list)
     unused_suppressions: int = 0
 
@@ -148,18 +134,12 @@ def build_context(files: list[SourceFile]) -> AnalysisContext:
     """Assemble the shared static context from the parsed files."""
     from repro.analysis.thread_safety import index_classes
 
-    modules = {sf.module: sf.tree for sf in files}
-    for sf in files:
-        sf.env = module_constants(sf.tree, modules)
     symbols = build_symbols(files)
     return AnalysisContext(
         files=files,
-        modules=modules,
-        devices=device_specs(modules),
         classes=index_classes([sf.tree for sf in files]),
         symbols=symbols,
         callgraph=build_callgraph(symbols),
-        summaries=SummaryTable(symbols, {sf.module: sf.env for sf in files}),
     )
 
 
@@ -168,14 +148,12 @@ def default_passes() -> dict[str, PassFn]:
     from repro.analysis.determinism import check_determinism
     from repro.analysis.event_protocol import check_event_protocol
     from repro.analysis.fp16_safety import check_fp16_safety
-    from repro.analysis.kernel_contract import check_kernel_contract
     from repro.analysis.locks import check_lock_order
     from repro.analysis.process_safety import check_process_safety
     from repro.analysis.shm_lifecycle import check_shm_lifecycle
     from repro.analysis.thread_safety import check_thread_safety
 
     return {
-        "kernel-contract": check_kernel_contract,    # ET1xx
         "fp16-safety": check_fp16_safety,            # ET2xx
         "determinism": check_determinism,            # ET3xx
         "thread-safety": check_thread_safety,        # ET4xx
@@ -245,56 +223,30 @@ def _suppressing_comment(
     return None
 
 
-def _disabled_rules(sf: SourceFile, lineno: int) -> set[str]:
-    """Rule ids inline-disabled for a finding anchored at ``lineno``.
-
-    A trailing comment applies to its own line; a comment-only line
-    applies to the line below it (so a disable never leaks from one
-    statement onto the next).
-    """
-    disabled: set[str] = set()
-    for comment in _suppression_comments(sf):
-        if comment.target_line == lineno:
-            disabled.update(comment.tokens)
-    return disabled
-
-
-def _is_suppressed_inline(sf: SourceFile, finding: Finding) -> bool:
-    disabled = _disabled_rules(sf, finding.line)
-    return bool(disabled) and (finding.rule_id in disabled or "ALL" in disabled)
-
-
-def _raw_findings_for(sf: SourceFile, ctx: AnalysisContext,
-                      passes: dict[str, PassFn]) -> list[Finding]:
-    found: list[Finding] = []
-    for check in passes.values():
-        found.extend(check(sf, ctx))
-    return found
-
-
 def _collect(
     files: list[SourceFile],
     ctx: AnalysisContext,
     rule_filter: Callable[[str], bool] | None,
-) -> tuple[list[tuple[Finding, str]], int, list[Finding]]:
-    """Run the passes: (raw survivors, inline-suppressed, ET001)."""
+) -> tuple[list[Finding], int, list[Finding]]:
+    """Run the passes: (unsuppressed findings, inline-suppressed, ET001)."""
     passes = default_passes()
-    raw: list[tuple[Finding, str]] = []
+    survivors: list[Finding] = []
     inline_suppressed = 0
     unused: list[Finding] = []
     for sf in files:
-        found = _raw_findings_for(sf, ctx, passes)
         comments = _suppression_comments(sf)
-        for finding in found:
-            suppressor = _suppressing_comment(comments, finding)
-            if suppressor is not None:
-                suppressor.used = True
-            if rule_filter is not None and not rule_filter(finding.rule_id):
-                continue
-            if suppressor is not None:
-                inline_suppressed += 1
-                continue
-            raw.append((finding, sf.source_line(finding.line)))
+        for check in passes.values():
+            for finding in check(sf, ctx):
+                suppressor = _suppressing_comment(comments, finding)
+                if suppressor is not None:
+                    suppressor.used = True
+                if rule_filter is not None \
+                        and not rule_filter(finding.rule_id):
+                    continue
+                if suppressor is not None:
+                    inline_suppressed += 1
+                    continue
+                survivors.append(finding)
         if rule_filter is None:
             for comment in comments:
                 if not comment.used:
@@ -304,55 +256,30 @@ def _collect(
                         f"unused suppression 'etlint: disable={ids}': no "
                         f"matching finding is anchored on line "
                         f"{comment.target_line}"))
-    return raw, inline_suppressed, unused
+    return survivors, inline_suppressed, unused
 
 
 def run_analysis(
     paths: Sequence[Path],
     root: Path | None = None,
-    baseline: Baseline | None = None,
     rule_filter: Callable[[str], bool] | None = None,
 ) -> AnalysisReport:
     """Analyze ``paths`` and return the surviving findings.
 
     ``rule_filter`` restricts reporting to matching rule ids (used by
-    ``--rules``); inline suppressions and the baseline apply after it.
+    ``--rules``); inline suppressions apply after it.
     """
     root = root or Path.cwd()
     errors: list[str] = []
     files = load_files(paths, root, errors)
     ctx = build_context(files)
-    raw, inline_suppressed, unused = _collect(files, ctx, rule_filter)
-    baseline_suppressed = 0
-    if baseline is not None:
-        survivors, baseline_suppressed = baseline.filter(raw)
-    else:
-        survivors = [finding for finding, _ in raw]
-    survivors.extend(unused)  # ET001 is meta: never baselined
+    survivors, inline_suppressed, unused = _collect(files, ctx, rule_filter)
+    survivors.extend(unused)
     survivors.sort(key=Finding.sort_key)
     return AnalysisReport(
         findings=survivors,
         files_scanned=len(files),
         suppressed_inline=inline_suppressed,
-        suppressed_baseline=baseline_suppressed,
         parse_errors=errors,
         unused_suppressions=len(unused),
     )
-
-
-def findings_with_lines(
-    paths: Sequence[Path], root: Path | None = None,
-) -> list[tuple[Finding, str]]:
-    """Raw (finding, source line) pairs — what ``--write-baseline`` covers.
-
-    Inline suppressions still apply (they are the preferred mechanism and
-    should not leak into a generated baseline); ET001 meta-warnings are
-    excluded (a baseline must never hide a stale suppression).
-    """
-    root = root or Path.cwd()
-    errors: list[str] = []
-    files = load_files(paths, root, errors)
-    ctx = build_context(files)
-    raw, _suppressed, _unused = _collect(files, ctx, None)
-    raw.sort(key=lambda pair: pair[0].sort_key())
-    return raw

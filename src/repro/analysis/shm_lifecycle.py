@@ -26,10 +26,10 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
-from repro.analysis.callgraph import FuncNode, resolve_call
+from repro.analysis.callgraph import FuncNode, callee_name, dotted_callee, \
+    resolve_call
 from repro.analysis.findings import Finding, make_finding
 from repro.analysis.protocol import PathEnd, ProtocolChecker
-from repro.analysis.resolve import callee_name, dotted_callee
 
 if TYPE_CHECKING:
     from repro.analysis.runner import AnalysisContext, SourceFile

@@ -39,8 +39,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.analysis.callgraph import dotted_callee
 from repro.analysis.findings import Finding, make_finding
-from repro.analysis.resolve import dotted_callee
 
 if TYPE_CHECKING:
     from repro.analysis.runner import AnalysisContext, SourceFile

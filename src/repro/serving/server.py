@@ -207,18 +207,23 @@ class AsyncServer(LiveServer):
             t.start()
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the workers; with ``drain`` they finish everything queued."""
+        """Stop the workers; with ``drain`` they finish everything queued.
+
+        Without ``drain`` the queue is taken in the same critical section
+        that clears the running flag, so no worker can flush it into a
+        batch; those requests are rejected as shed.
+        """
         with self._work:
             self._running = False
+            dropped = [] if drain else self._core.queue.drain()
             threads = self._threads
             self._threads = []
             self._work.notify_all()
         for t in threads:  # joining must not hold the lock workers need
             t.join()
         with self._work:
-            dropped = [] if drain else self._core.queue.drain()
             self._core.queue.close()
-        self._reject(dropped, "shutdown_drop")
+        self._reject(dropped, "shed")
 
     def metrics_text(self) -> str:
         """The live metrics as one Prometheus exposition page (scrapable)."""

@@ -2,23 +2,21 @@
 
 Each rule gets a positive fixture (a seeded violation the pass must catch)
 and a negative fixture (compliant code it must not flag), plus tests for
-inline suppression, the baseline round-trip, the CLI exit codes, and a run
-over the real tree asserting zero non-baselined findings.
+inline suppression, the CLI exit codes, and a run over the real tree
+asserting zero findings.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, RULES, run_analysis
+from repro.analysis import RULES, run_analysis
 from repro.analysis.__main__ import main as etlint_main
-from repro.analysis.baseline import line_hash
-from repro.analysis.runner import findings_with_lines, module_name_for
+from repro.analysis.runner import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,136 +27,6 @@ def lint_snippet(tmp_path: Path, source: str, name: str = "snippet.py"):
     target.write_text(textwrap.dedent(source), encoding="utf-8")
     report = run_analysis([target], root=tmp_path)
     return [f.rule_id for f in report.findings], report
-
-
-# ---- pass 1: kernel contracts ---------------------------------------------
-
-
-def test_et101_over_budget_smem(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.gpu.kernel import KernelCost
-
-        cost = KernelCost(name="huge", smem_per_cta_bytes=200 * 1024)
-    """)
-    assert rules == ["ET101"]
-
-
-def test_et102_portability_smem(tmp_path):
-    # 128 KiB fits the A100 (164 KiB/SM) but not the V100S (96 KiB/SM).
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.gpu.kernel import KernelCost
-
-        cost = KernelCost(name="mid", smem_per_cta_bytes=128 * 1024)
-    """)
-    assert rules == ["ET102"]
-
-
-def test_kernel_contract_resolves_module_constants(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.gpu.kernel import KernelCost
-
-        TILE = 256
-        WIDTH = 1024
-        cost = KernelCost(name="c", smem_per_cta_bytes=TILE * WIDTH)
-    """)
-    assert rules == ["ET101"]
-
-
-def test_kernel_contract_skips_runtime_shapes(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.gpu.kernel import KernelCost
-
-        def build(smem):
-            return KernelCost(name="dyn", smem_per_cta_bytes=smem)
-    """)
-    assert rules == []
-
-
-def test_et103_misaligned_dk(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.onthefly import otf_smem_bytes
-
-        smem = otf_smem_bytes(128, 63)
-    """)
-    assert rules == ["ET103"]
-
-
-def test_et104_misaligned_tile_rows(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.onthefly import otf_smem_bytes
-
-        smem = otf_smem_bytes(128, 64, 2, False, tile_rows=24)
-    """)
-    assert rules == ["ET104"]
-
-
-def test_aligned_otf_site_is_clean(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.onthefly import otf_smem_bytes
-
-        smem = otf_smem_bytes(128, 64, 2, False, tile_rows=16)
-    """)
-    assert rules == []
-
-
-def test_et101_via_otf_smem_formula(tmp_path):
-    # Equation 6 at seq_len 16384: 16*64*2 + 16*16384*2 B >> any SM budget.
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.onthefly import otf_smem_bytes
-
-        smem = otf_smem_bytes(16384, 64)
-    """)
-    assert rules == ["ET101"]
-
-
-def test_et101_via_flash_smem_formula(tmp_path):
-    # A 128x128 tile at d=256: operand tiles + FP32 accumulator exceed
-    # every device's per-SM budget, A100 included.
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.flash import flash_smem_bytes
-
-        smem = flash_smem_bytes(128, 128, 256, 256)
-    """)
-    assert rules == ["ET101"]
-
-
-def test_et102_flash_tile_fits_a100_only(tmp_path):
-    # 128x128 at d=64 needs ~113 KiB: over the V100S's 96 KiB/SM, inside
-    # the A100's 164 KiB/SM — a portability finding, not a hard error.
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.flash import flash_smem_bytes
-
-        smem = flash_smem_bytes(128, 128, 64, 64)
-    """)
-    assert rules == ["ET102"]
-
-
-def test_et103_flash_misaligned_dk(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.flash import flash_smem_bytes
-
-        smem = flash_smem_bytes(64, 32, 60, 60)
-    """)
-    assert rules == ["ET103"]
-
-
-def test_et104_flash_misaligned_tiles(tmp_path):
-    # Both tile edges off the 16-row tensor-core grain flag independently.
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.flash import flash_smem_bytes
-
-        smem = flash_smem_bytes(24, 40, 64, 64)
-    """)
-    assert rules == ["ET104", "ET104"]
-
-
-def test_aligned_flash_site_is_clean(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        from repro.attention.flash import flash_smem_bytes
-
-        smem = flash_smem_bytes(64, 64, 64, 64)
-    """)
-    assert rules == []
 
 
 # ---- pass 2: FP16 safety ---------------------------------------------------
@@ -641,7 +509,7 @@ def test_et501_plain_multiprocessing_is_clean(tmp_path):
     assert rules == []
 
 
-# ---- suppression and baseline ----------------------------------------------
+# ---- suppression -----------------------------------------------------------
 
 
 def test_inline_suppression(tmp_path):
@@ -666,72 +534,6 @@ def test_inline_suppression_previous_line(tmp_path):
     assert rules == []
 
 
-def test_baseline_round_trip(tmp_path):
-    source = """
-        import time
-
-        t0 = time.time()
-    """
-    rules, _ = lint_snippet(tmp_path, source)
-    assert rules == ["ET301"]
-
-    raw = findings_with_lines([tmp_path / "snippet.py"], root=tmp_path)
-    baseline = Baseline.from_findings(raw)
-    baseline_path = tmp_path / "baseline.json"
-    baseline.save(baseline_path)
-
-    reloaded = Baseline.load(baseline_path)
-    report = run_analysis([tmp_path / "snippet.py"], root=tmp_path,
-                          baseline=reloaded)
-    assert report.findings == []
-    assert report.suppressed_baseline == 1
-
-
-def test_baseline_does_not_absorb_new_findings(tmp_path):
-    rules, _ = lint_snippet(tmp_path, "import time\n\nt0 = time.time()\n")
-    raw = findings_with_lines([tmp_path / "snippet.py"], root=tmp_path)
-    baseline = Baseline.from_findings(raw)
-
-    # A second, different violation in the same file must still surface.
-    (tmp_path / "snippet.py").write_text(
-        "import time\n\nt0 = time.time()\nt1 = time.monotonic()\n",
-        encoding="utf-8")
-    report = run_analysis([tmp_path / "snippet.py"], root=tmp_path,
-                          baseline=baseline)
-    assert [f.rule_id for f in report.findings] == ["ET301"]
-    assert report.suppressed_baseline == 1
-    assert "monotonic" in report.findings[0].message
-
-
-def test_baseline_survives_line_renumbering(tmp_path):
-    rules, _ = lint_snippet(tmp_path, "import time\n\nt0 = time.time()\n")
-    raw = findings_with_lines([tmp_path / "snippet.py"], root=tmp_path)
-    baseline = Baseline.from_findings(raw)
-
-    (tmp_path / "snippet.py").write_text(
-        "import time\n\n# a new comment shifts every line\n\nt0 = time.time()\n",
-        encoding="utf-8")
-    report = run_analysis([tmp_path / "snippet.py"], root=tmp_path,
-                          baseline=baseline)
-    assert report.findings == []
-
-
-def test_baseline_rejects_bad_documents(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
-    bad.write_text(json.dumps({"version": 99, "entries": []}),
-                   encoding="utf-8")
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
-
-
-def test_line_hash_ignores_indentation():
-    assert line_hash("    x = 1") == line_hash("x = 1")
-    assert line_hash("x = 1") != line_hash("x = 2")
-
-
 # ---- CLI -------------------------------------------------------------------
 
 
@@ -752,18 +554,6 @@ def test_cli_exit_codes_and_github_format(tmp_path, capsys, monkeypatch):
     # Restricting to another rule family reports nothing.
     capsys.readouterr()
     assert etlint_main(["bad.py", "--rules", "ET4"]) == 0
-
-
-def test_cli_write_baseline_round_trip(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.py").write_text("import time\nt0 = time.time()\n",
-                                     encoding="utf-8")
-    assert etlint_main(["bad.py", "--write-baseline"]) == 0
-    assert (tmp_path / ".etlint-baseline.json").exists()
-    capsys.readouterr()
-    # The freshly written baseline (picked up by default) absorbs the finding.
-    assert etlint_main(["bad.py"]) == 0
-    assert etlint_main(["bad.py", "--no-baseline"]) == 1
 
 
 def test_cli_list_rules(capsys):
@@ -800,7 +590,3 @@ def test_real_tree_is_clean():
     # The designated suppressions exist (timing boundary + overflow study).
     assert report.suppressed_inline >= 4
 
-
-def test_committed_baseline_is_valid_and_lean():
-    baseline = Baseline.load(REPO_ROOT / ".etlint-baseline.json")
-    assert sum(baseline.entries.values()) <= 5  # stays near-empty

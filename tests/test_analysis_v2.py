@@ -1,12 +1,12 @@
-"""Tests for etlint v2: the interprocedural data-flow engine.
+"""Tests for etlint v2: the interprocedural passes.
 
-Covers the analysis substrate (symbol table, call graph, summaries), the
-three new deep passes (ET6xx deadlock, ET5xx shm lifecycle, ET7xx event
-protocol), the interprocedural upgrades of ET1xx/ET2xx, and the v2
-satellites: ET001 unused-suppression warnings, SARIF output and the
-``--selftest`` harness. Each
-new rule gets a positive fixture (a seeded violation the pass must
-catch) and a negative fixture (compliant code it must not flag).
+Covers the analysis substrate (symbol table, call graph), the three deep
+passes (ET6xx deadlock, ET5xx shm lifecycle, ET7xx event protocol), the
+one-level helper lookup of ET2xx, and the v2 satellites: ET001
+unused-suppression warnings, SARIF output and the ``--selftest``
+harness. Each new rule gets a positive fixture (a seeded violation the
+pass must catch) and a negative fixture (compliant code it must not
+flag).
 """
 
 from __future__ import annotations
@@ -391,61 +391,7 @@ def test_et703_rebook_after_death_is_clean(tmp_path):
     assert "ET703" not in rules
 
 
-# ---- interprocedural ET1xx/ET2xx -------------------------------------------
-
-
-def test_et101_through_helper_function(tmp_path):
-    """The fixture the intraprocedural v1 pass provably missed: the
-    helper body alone folds to nothing (its shapes are parameters), so a
-    per-call-site literal check cannot fire; only binding the caller's
-    constants into the helper reveals the over-budget request."""
-    rules, report = lint_snippet(tmp_path, """
-        D_K = 64
-
-
-        def make_cost(seq_len, tile_rows):
-            return KernelCost(
-                kernel="otf",
-                smem_per_cta_bytes=tile_rows * D_K * 2
-                + tile_rows * seq_len * 4,
-            )
-
-
-        def plan():
-            return make_cost(65536, 16)
-    """)
-    assert "ET101" in rules
-    finding = next(f for f in report.findings if f.rule_id == "ET101")
-    assert finding.line == 14  # reported at the caller, not in the helper
-    assert "make_cost" in finding.message
-    assert "seq_len=65536" in finding.message
-
-
-def test_et101_through_local_assignment_chain(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        def plan():
-            rows = 16
-            seq = 65536
-            smem = rows * 64 * 2 + rows * seq * 4
-            return KernelCost(kernel="otf", smem_per_cta_bytes=smem)
-    """)
-    assert "ET101" in rules
-
-
-def test_et101_helper_with_runtime_args_is_clean(tmp_path):
-    rules, _ = lint_snippet(tmp_path, """
-        def make_cost(seq_len, tile_rows):
-            return KernelCost(
-                kernel="otf",
-                smem_per_cta_bytes=tile_rows * seq_len * 4,
-            )
-
-
-        def plan(runtime_seq):
-            return make_cost(runtime_seq, 16)
-    """)
-    assert "ET101" not in rules
-    assert "ET102" not in rules
+# ---- interprocedural ET2xx -------------------------------------------------
 
 
 def test_et201_scaled_assignment_chain_is_clean(tmp_path):

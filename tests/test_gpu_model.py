@@ -1,7 +1,14 @@
 """GPU device spec, kernel cost model and timeline counters."""
 
+from copy import deepcopy
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro import config
+from repro.attention.flash import TILE_CANDIDATES, TILE_FALLBACK
+from repro.attention.onthefly import TILE_ROWS
 from repro.gpu import (
     A100,
     V100S,
@@ -11,6 +18,15 @@ from repro.gpu import (
     default_device,
     mem_efficiency,
     smem_fits,
+)
+from repro.gpu.device import all_devices
+from repro.pruning import PruneMethod
+from repro.runtime import (
+    EncoderWeights,
+    ETEngine,
+    FasterTransformerLikeEngine,
+    PyTorchLikeEngine,
+    TensorRTLikeEngine,
 )
 
 
@@ -253,3 +269,65 @@ class TestCostAccumulator:
         acc.add(KernelCost("big", bytes_loaded=1e6,
                            mem_pattern=MemPattern.STREAM))
         assert acc.fused().mem_pattern is MemPattern.STREAM
+
+
+class TestLaunchContract:
+    """The paper's launch contract, held at run time on every device.
+
+    Equation 6 bounds one CTA's shared memory by the SM's, and §3.1 cuts
+    heads into 16-row tensor-core tiles. Kernel sizes are runtime values
+    (the flash tile is even chosen per device), so the contract is pinned
+    by launching what the engines launch: every kernel goes through
+    ``Timeline.launch`` → ``KernelCost.validate_launch``.
+    """
+
+    #: The paper's default seqLen and one past every 64-wide head's
+    #: OTF→flash crossover (s = 144–208 on the V100S and A100).
+    SEQ_LENS = (128, 384)
+
+    def test_every_engine_launch_fits_every_device(self, monkeypatch):
+        configs = [c for c in vars(config).values()
+                   if isinstance(c, config.ModelConfig)]
+        assert TILE_ROWS % 16 == 0
+        for br, bc in TILE_CANDIDATES + TILE_FALLBACK:
+            assert br % 16 == 0 and bc % 16 == 0, (br, bc)
+        for cfg in configs:
+            assert cfg.d_head % 8 == 0, cfg.name
+
+        launched: list[tuple[str, str, int, int]] = []
+        launch = Timeline.launch
+
+        def recording_launch(tl, cost):
+            record = launch(tl, cost)
+            launched.append((tl.device.name, cost.name,
+                             cost.smem_per_cta_bytes,
+                             tl.device.smem_per_sm_bytes))
+            return record
+
+        monkeypatch.setattr(Timeline, "launch", recording_launch)
+        # One layer of each distinct shape (DistilBERT's is BERT_BASE's).
+        shapes = {(c.d_model, c.num_heads, c.d_ff): replace(c, num_layers=1)
+                  for c in configs}
+        for cfg in shapes.values():
+            dense = EncoderWeights.random(cfg, np.random.default_rng(0))
+            pruned = deepcopy(dense).prune(PruneMethod.ATTENTION_AWARE, 0.8)
+            for device in all_devices():
+                engines = (
+                    PyTorchLikeEngine(dense, device),
+                    TensorRTLikeEngine(dense, device),
+                    FasterTransformerLikeEngine(dense, device),
+                    ETEngine(dense, device),
+                    ETEngine(pruned, device),
+                    ETEngine(pruned, device, precompute=True),
+                )
+                for engine in engines:
+                    for s in self.SEQ_LENS:
+                        engine.latency_us(s)
+
+        over = [r for r in launched if r[2] > r[3]]
+        assert not over, over[:5]
+        for device in all_devices():
+            kernels = {name for dev, name, _, _ in launched
+                       if dev == device.name}
+            # Both sides of the crossover ran on this device.
+            assert {"otf_attention", "flash_attention"} <= kernels

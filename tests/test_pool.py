@@ -476,3 +476,24 @@ def test_no_drain_stop_leaves_no_fold_state():
     m = server.metrics
     assert len(responses) == m.completed + m.rejected == spec.num_requests
     assert m.in_flight == 0
+
+
+def test_no_drain_stop_sheds_the_thread_servers_queue():
+    """A no-drain stop of the thread server rejects what is still queued
+    as shed, instead of flushing it into the workers; the page still
+    equals the fold of its log."""
+    spec = _spec(num_requests=5, max_wait_us=10_000_000.0)
+    events = EventLog()
+    server = _thread_server(spec, events)
+    server.start()
+    futures = [server.submit(x)
+               for x in request_mix(spec, build_payloads(spec))]
+    server.stop(drain=False)
+    responses = [f.result(timeout=60.0) for f in futures]
+    assert [r.status for r in responses] == [ResponseStatus.REJECTED] * 5
+    m = server.metrics
+    assert (m.rejected, m.completed, m.in_flight) == (5, 0, 0)
+    assert [e.detail for e in events.sorted_events()
+            if e.kind == "reject"] == ["shed"] * 5
+    folded = MetricsRegistry.from_events(events)
+    assert prometheus_text(folded) == prometheus_text(m)

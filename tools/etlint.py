@@ -7,7 +7,9 @@ without configuring ``PYTHONPATH`` first::
     python tools/etlint.py src --format=text
 
 See ``--list-rules`` for the rule catalogue and DESIGN.md §9 for the
-invariant each rule encodes.
+invariant each rule encodes. Inline ``# etlint: disable=<RULE> <reason>``
+comments are the only suppression; ``--strict-suppressions`` fails on
+stale ones.
 """
 
 from __future__ import annotations
