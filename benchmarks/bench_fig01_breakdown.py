@@ -5,7 +5,6 @@ Paper claim: E.T. reduces one encoder's computation time by ~2.5× on the
 WikiText-2 Transformer at sequence length 128.
 """
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig01_breakdown
 
 from _util import emit, once
@@ -13,15 +12,5 @@ from _util import emit, once
 
 def test_fig01_breakdown(benchmark):
     res = once(benchmark, fig01_breakdown)
-
-    rows = [["total", res.trt_total_us, res.et_total_us]]
-    tags = sorted(set(res.trt_breakdown) | set(res.et_breakdown))
-    for tag in tags:
-        rows.append([tag, res.trt_breakdown.get(tag, 0.0),
-                     res.et_breakdown.get(tag, 0.0)])
-    rows.append(["speedup (paper ~2.5x)", res.speedup, ""])
-    emit("fig01_breakdown",
-         render_table(["phase", "TensorRT us", "E.T. us"], rows,
-                      title="Fig.1 encoder breakdown (Transformer, s=128, "
-                            "80% pruned)"))
+    emit("fig01_breakdown", res.render())
     assert 1.8 <= res.speedup <= 3.2

@@ -7,39 +7,14 @@ scaling onto Q (step ② before step ③) eliminates overflow while producing
 identical results.
 """
 
-import numpy as np
-
-from repro.attention import OverflowStudy
-from repro.eval.format import render_table
+from repro.eval.latency import fig04_overflow
 
 from _util import emit, once
 
 
-def _run() -> OverflowStudy:
-    # Coherently accumulating activations, as trained Q/K projections
-    # produce (zero-mean noise would need implausible magnitudes to
-    # overflow; see DESIGN.md).
-    rng = np.random.default_rng(0)
-    h, s, d = 2, 16, 256
-    q = 18.0 + 5.0 * rng.standard_normal((h, s, d))
-    k = 18.0 + 5.0 * rng.standard_normal((h, s, d))
-    return OverflowStudy.run(q, k)
-
-
 def test_fig04_overflow(benchmark):
-    study = once(benchmark, _run)
-    rows = [
-        ["post-scale, pure FP16 (Fig. 4's shaded map)",
-         study.post_scale_fp16],
-        ["pre-scale (E.T. reorder), pure FP16", study.pre_scale_fp16],
-        ["post-scale, mixed precision", study.post_scale_mixed],
-        ["post-scale, BF16 (A100/TPU mode, §2.2)", study.post_scale_bf16],
-        ["BF16 median relative error", study.bf16_rel_error],
-        ["max |pre - post| in exact arithmetic", study.max_abs_error],
-    ]
-    emit("fig04_overflow",
-         render_table(["design", "overflow fraction"], rows,
-                      title="Fig.4 Q.K^T overflow (s=16, d=256)"))
+    study = once(benchmark, fig04_overflow)
+    emit("fig04_overflow", study.render())
     assert study.post_scale_fp16 > 0.5
     assert study.pre_scale_fp16 == 0.0
     assert study.max_abs_error < 1e-9

@@ -6,7 +6,6 @@ pruning ratio grows; below 40 % sparsity E.T. uses the best dense cuBLAS
 routine (CUBLAS_GEMM_ALGO5_TENSOR_OP).
 """
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig07_encoder_latency
 
 from _util import emit, once
@@ -14,18 +13,7 @@ from _util import emit, once
 
 def test_fig07_encoder_latency(benchmark):
     res = once(benchmark, fig07_encoder_latency)
-
-    headers = ["sparsity"] + list(res.latency_us)
-    rows = []
-    for i, sp in enumerate(res.sparsities):
-        rows.append([sp] + [res.latency_us[k][i] for k in res.latency_us])
-    rows.append(["max speedup (paper 13.7/3.4/2.5)",
-                 res.max_speedup_over("pytorch"),
-                 res.max_speedup_over("tensorrt"),
-                 res.max_speedup_over("fastertransformer"), ""])
-    emit("fig07_encoder_latency",
-         render_table(headers, rows,
-                      title="Fig.7 encoder latency us (BERT_BASE, s=128)"))
+    emit("fig07_encoder_latency", res.render())
 
     assert 10 <= res.max_speedup_over("pytorch") <= 18
     assert 2.5 <= res.max_speedup_over("tensorrt") <= 4.5

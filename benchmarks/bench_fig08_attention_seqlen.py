@@ -12,7 +12,6 @@ every modeled device and emits the per-device crossover seqLens as JSON
 
 import pytest
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig08_attention
 from repro.gpu.device import all_devices
 
@@ -22,21 +21,7 @@ from _util import emit, emit_json, once
 @pytest.mark.parametrize("model", ["BERT_BASE", "Transformer"])
 def test_fig08_attention(benchmark, model):
     res = once(benchmark, fig08_attention, model)
-
-    rows = [
-        [s, t, o, p, f, res.winner(i), t / min(o, p, f)]
-        for i, (s, t, o, p, f) in enumerate(
-            zip(res.seq_lens, res.tensorrt_us, res.otf_us,
-                res.partial_otf_us, res.flash_us))
-    ]
-    rows.append([f"otf->partial crossover (paper ~224): {res.crossover}",
-                 "", "", "", "", "", ""])
-    rows.append([f"flash takes over at: {res.flash_crossover}",
-                 "", "", "", "", "", ""])
-    emit(f"fig08_attention_{model}",
-         render_table(["seqLen", "TensorRT us", "OTF us", "partial OTF us",
-                       "flash us", "winner", "speedup"],
-                      rows, title=f"Fig.8 attention latency — {model}"))
+    emit(f"fig08_attention_{model}", res.render())
 
     assert all(s > 1.0 for s in res.speedup_over_trt())
     assert 192 <= res.crossover <= 272

@@ -6,7 +6,6 @@ d_model = 768 / 1024 / 2048 — larger models benefit more because the saving
 is proportional to model size.
 """
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig09_precompute
 
 from _util import emit, once
@@ -14,15 +13,7 @@ from _util import emit, once
 
 def test_fig09_precompute(benchmark):
     res = once(benchmark, fig09_precompute)
-
-    rows = []
-    for d in res.d_models:
-        rows.append([d] + res.speedup[d] + [res.mean_speedup(d)])
-    emit("fig09_precompute",
-         render_table(["d_model"] + [f"H={h}" for h in res.heads] + ["mean"],
-                      rows,
-                      title="Fig.9 pre-computed linear transform speedup "
-                            "(paper means: 1.1/1.3/1.6)"))
+    emit("fig09_precompute", res.render())
 
     means = [res.mean_speedup(d) for d in res.d_models]
     assert all(m > 1.0 for m in means)

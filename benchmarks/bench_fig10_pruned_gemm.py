@@ -7,7 +7,6 @@ around 1.2–1.7×; at equal sparsity tile pruning beats column pruning.
 
 import pytest
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig10_pruned_gemm
 
 from _util import emit, once
@@ -16,18 +15,7 @@ from _util import emit, once
 @pytest.mark.parametrize("d_model", [768, 1024])
 def test_fig10_pruned_gemm(benchmark, d_model):
     res = once(benchmark, fig10_pruned_gemm, d_model)
-
-    rows = []
-    for i, sp in enumerate(res.sparsities):
-        rows.append([sp,
-                     res.speedup("row")[i],
-                     res.speedup("column")[i],
-                     res.speedup("tile")[i]])
-    rows.append([f"dense baseline: {res.dense_us:.1f} us "
-                 "(CUBLAS_GEMM_ALGO5_TENSOR_OP)", "", "", ""])
-    emit(f"fig10_pruned_gemm_d{d_model}",
-         render_table(["sparsity", "row x", "column x", "tile x"], rows,
-                      title=f"Fig.10 pruned linear speedup, d_model={d_model}"))
+    emit(f"fig10_pruned_gemm_d{d_model}", res.render())
 
     tile = res.speedup("tile")
     col = res.speedup("column")

@@ -6,7 +6,6 @@ sm_efficiency and ~22 % IPC — the reduced store traffic is on the critical
 path, the extra loads are not.
 """
 
-from repro.eval.format import render_table
 from repro.eval.latency import fig11_profiling
 
 from _util import emit, once
@@ -14,19 +13,7 @@ from _util import emit, once
 
 def test_fig11_profiling(benchmark):
     res = once(benchmark, fig11_profiling)
-
-    keys = ["gld_transactions", "gst_transactions", "sm_efficiency", "ipc",
-            "total_time_us", "num_kernels"]
-    rows = [[k, res.trt[k], res.otf[k]] for k in keys]
-    rows += [
-        ["load ratio (paper ~1.8x)", "", res.load_ratio],
-        ["store saving (paper ~5x)", "", res.store_saving],
-        ["sm_efficiency boost (paper ~30%)", "", res.sm_efficiency_boost],
-        ["ipc boost (paper ~22%)", "", res.ipc_boost],
-    ]
-    emit("fig11_profiling",
-         render_table(["counter", "TensorRT", "E.T. OTF"], rows,
-                      title="Fig.11 attention profiling (BERT_BASE, s=128)"))
+    emit("fig11_profiling", res.render())
 
     assert 1.5 <= res.load_ratio <= 2.6
     assert 4.0 <= res.store_saving <= 6.0

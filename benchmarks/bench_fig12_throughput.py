@@ -13,15 +13,7 @@ from _util import emit, once
 
 def test_fig12_throughput(benchmark):
     res = once(benchmark, fig12_throughput)
-
-    rows = [[name, bw] for name, bw in res.trt_steps]
-    rows += [
-        ["TensorRT average (paper 98 GB/s)", res.trt_avg_gbs],
-        ["E.T. OTF kernel (paper 311 GB/s)", res.otf_gbs],
-    ]
-    emit("fig12_throughput",
-         render_table(["kernel", "GB/s"], rows,
-                      title="Fig.12 achieved memory throughput"))
+    emit("fig12_throughput", res.render())
 
     assert 70 <= res.trt_avg_gbs <= 140
     assert 250 <= res.otf_gbs <= 430

@@ -12,16 +12,7 @@ from _util import emit, once
 
 def test_fig13_masks(benchmark):
     res = once(benchmark, fig13_masks)  # paper width d_model=800
-
-    blocks = []
-    for method in ("attention_aware", "irregular", "column", "tile"):
-        m = res.masks[method]
-        sp = 1.0 - m.mean()
-        blocks.append(
-            f"--- {method} (achieved sparsity {sp:.3f}, shape {m.shape}) ---\n"
-            + res.ascii_art(method, rows=24, cols=48)
-        )
-    emit("fig13_masks", "\n\n".join(blocks))
+    emit("fig13_masks", res.render())
 
     for m in res.masks.values():
         assert m.shape == (2400, 800)

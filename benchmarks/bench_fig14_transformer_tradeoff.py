@@ -13,7 +13,6 @@ paper-scale Transformer (L=2, d_model=800, H=4).
 import numpy as np
 
 from repro.eval.accuracy_exp import Scale, fig14_transformer
-from repro.eval.format import render_table
 
 from _util import emit, once
 
@@ -27,16 +26,7 @@ RATIOS = (0.5, 0.7, 0.9)
 
 def test_fig14_transformer_tradeoff(benchmark):
     res = once(benchmark, fig14_transformer, RATIOS, scale=BENCH_SCALE)
-
-    methods = list(res.accuracy)
-    rows = [["baseline", res.baseline_accuracy, ""]]
-    for m in methods:
-        for r, acc, lat in zip(res.ratios, res.accuracy[m], res.latency_us[m]):
-            rows.append([f"{m}@{r}", acc,
-                         lat if np.isfinite(lat) else "n/a"])
-    emit("fig14_transformer_tradeoff",
-         render_table(["method@ratio", "next-word acc", "latency us"], rows,
-                      title="Fig.14 Transformer accuracy & latency vs ratio"))
+    emit("fig14_transformer_tradeoff", res.render())
 
     # (a) moderate pruning keeps most accuracy for structured methods
     for m in ("tile", "attention_aware"):

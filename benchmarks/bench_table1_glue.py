@@ -17,7 +17,6 @@ V100S cost model at full scale with Table 1's ratios.
 import pytest
 
 from repro.eval.accuracy_exp import SMALL, table1
-from repro.eval.format import render_table
 
 from _util import emit, once
 
@@ -29,20 +28,7 @@ BENCH_SCALE = SMALL
 @pytest.mark.parametrize("model_name", ["BERT_BASE", "DistilBERT"])
 def test_table1_glue(benchmark, model_name):
     res = once(benchmark, table1, model_name, scale=BENCH_SCALE)
-
-    tasks = list(res.baseline.scores)
-    headers = ["row"] + tasks + ["AVG"]
-    rows = [["baseline score"] + [res.baseline.scores[t] for t in tasks]
-            + [res.baseline.avg_score]]
-    for name, row in res.methods.items():
-        rows.append([f"{name} score"] + [row.scores[t] for t in tasks]
-                    + [row.avg_score])
-        rows.append([f"{name} ratio"] + [row.ratios[t] for t in tasks]
-                    + [row.avg_ratio])
-        rows.append([f"{name} latency ms"] + [row.latency_ms[t] for t in tasks]
-                    + [row.avg_latency_ms])
-    emit(f"table1_{model_name}",
-         render_table(headers, rows, title=f"Table 1 — {model_name}"))
+    emit(f"table1_{model_name}", res.render())
 
     aa = res.methods["attention_aware"]
     tile = res.methods["tile"]

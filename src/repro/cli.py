@@ -2,14 +2,16 @@
 
 Regenerate any of the paper's tables/figures from the shell::
 
-    python -m repro list                 # available experiments
-    python -m repro fig7                 # encoder latency vs sparsity
+    python -m repro list                 # figures, their models and files
+    python -m repro fig7                 # fig1 fig4 fig7..fig14 table1
     python -m repro fig8 --model Transformer
     python -m repro table1 --model DistilBERT --scale tiny
-    python -m repro all                  # every latency experiment
+    python -m repro all                  # every figure that does not train
 
-Training experiments (fig14, table1) accept ``--scale tiny|bench|small`` to
-trade fidelity for runtime.
+Each figure is one entry of :data:`repro.eval.figures.FIGURES` and prints
+its result's ``render()`` — the text its benchmark writes to
+``benchmarks/results/``. Training experiments (fig14, table1) accept
+``--scale tiny|bench|small`` to trade fidelity for runtime.
 
 Serving (ISSUE 1)::
 
@@ -92,152 +94,67 @@ import argparse
 import sys
 import time
 
-import numpy as np
+from repro.eval.format import render_table
+
+#: The keys of :data:`repro.eval.figures.FIGURES`, named here because the
+#: registry stays off the serving import path.
+FIGURE_CMDS = ("fig1", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
+               "fig12", "fig13", "fig14", "table1")
 
 
-def _fmt_table(headers, rows, title=""):
-    from repro.eval.format import render_table
+def cmd_figures(args) -> str:
+    """Render one figure, or with ``all`` every figure that does not train.
 
-    return render_table(headers, rows, title)
+    Each figure prints what its benchmark writes to
+    ``benchmarks/results/``; ``all`` follows each one with its run time.
+    A ``--model`` the figure does not accept is a usage error.
+    """
+    from repro.eval.figures import FIGURES
 
-
-# --------------------------------------------------------------------------
-# experiment commands
-# --------------------------------------------------------------------------
-
-
-def cmd_fig1(args) -> str:
-    """Fig. 1 — single-encoder latency headline."""
-    from repro.eval.latency import fig01_breakdown
-
-    res = fig01_breakdown()
-    rows = [["TensorRT", res.trt_total_us], ["E.T. (80% pruned)", res.et_total_us],
-            ["speedup (paper ~2.5x)", res.speedup]]
-    return _fmt_table(["engine", "us"], rows, "Fig.1 — encoder time")
-
-
-def cmd_fig4(args) -> str:
-    """Fig. 4 — FP16 overflow study with the scaling reorder."""
-    from repro.attention import OverflowStudy
-
-    rng = np.random.default_rng(0)
-    q = 18.0 + 5.0 * rng.standard_normal((2, 16, 256))
-    k = 18.0 + 5.0 * rng.standard_normal((2, 16, 256))
-    st = OverflowStudy.run(q, k)
-    rows = [
-        ["post-scale pure FP16", st.post_scale_fp16],
-        ["pre-scale (reordered) FP16", st.pre_scale_fp16],
-        ["post-scale mixed precision", st.post_scale_mixed],
-        ["post-scale BF16 (A100 mode)", st.post_scale_bf16],
-        ["BF16 median relative error", st.bf16_rel_error],
-        ["reorder max |Δ| (exact)", st.max_abs_error],
-    ]
-    return _fmt_table(["design", "overflow fraction / error"], rows,
-                      "Fig.4 — Q·Kᵀ overflow study")
-
-
-def cmd_fig7(args) -> str:
-    """Fig. 7 — encoder latency vs sparsity across engines."""
-    from repro.eval.latency import fig07_encoder_latency
-
-    res = fig07_encoder_latency()
-    headers = ["sparsity"] + list(res.latency_us)
-    rows = [[s] + [res.latency_us[k][i] for k in res.latency_us]
-            for i, s in enumerate(res.sparsities)]
-    rows.append(["max speedup", res.max_speedup_over("pytorch"),
-                 res.max_speedup_over("tensorrt"),
-                 res.max_speedup_over("fastertransformer"), ""])
-    return _fmt_table(headers, rows, "Fig.7 — encoder latency (us) vs sparsity")
-
-
-def cmd_fig8(args) -> str:
-    """Fig. 8 — attention latency vs sequence length."""
-    from repro.eval.latency import fig08_attention
-
-    res = fig08_attention(model=args.model)
-    rows = [[s, t, o, p] for s, t, o, p in
-            zip(res.seq_lens, res.tensorrt_us, res.otf_us, res.partial_otf_us)]
-    rows.append([f"crossover={res.crossover}", "", "", ""])
-    return _fmt_table(["seqLen", "TensorRT", "OTF", "partial OTF"], rows,
-                      f"Fig.8 — attention latency (us), {args.model}")
-
-
-def cmd_fig9(args) -> str:
-    """Fig. 9 — pre-computed linear-transformation speedups."""
-    from repro.eval.latency import fig09_precompute
-
-    res = fig09_precompute()
-    rows = [[d] + res.speedup[d] + [res.mean_speedup(d)] for d in res.d_models]
-    return _fmt_table(["d_model"] + [f"H={h}" for h in res.heads] + ["mean"],
-                      rows, "Fig.9 — pre-computed linear transform speedup")
-
-
-def cmd_fig10(args) -> str:
-    """Fig. 10 — pruned linear-layer speedups per method."""
-    from repro.eval.latency import fig10_pruned_gemm
-
+    figs = ([f for f in FIGURES.values() if not f.trains]
+            if args.experiment == "all" else [FIGURES[args.experiment]])
+    for fig in figs:
+        if fig.models is not None and args.model not in fig.models:
+            raise argparse.ArgumentError(
+                None, f"{fig.name} takes --model "
+                      f"{' or '.join(fig.models)}, not {args.model}")
     out = []
-    for d in (768, 1024):
-        res = fig10_pruned_gemm(d_model=d)
-        rows = [[s, res.speedup("row")[i], res.speedup("column")[i],
-                 res.speedup("tile")[i]]
-                for i, s in enumerate(res.sparsities)]
-        out.append(_fmt_table(["sparsity", "row", "column", "tile"], rows,
-                              f"Fig.10 — pruned GEMM speedup, d={d}"))
-    return "\n\n".join(out)
+    for fig in figs:
+        t0 = time.time()
+        out.append(fig.render(args.model, args.scale))
+        if args.experiment == "all":
+            out.append(f"[{fig.name}: {time.time() - t0:.1f}s]")
+    return "\n".join(out)
 
 
-def cmd_fig11(args) -> str:
-    """Fig. 11 — nvprof-style attention profiling counters."""
-    from repro.eval.latency import fig11_profiling
+def cmd_list() -> str:
+    """Every command; each figure with its models and result files."""
+    from repro.eval.figures import FIGURES
 
-    res = fig11_profiling()
-    rows = [[k, res.trt[k], res.otf[k]] for k in
-            ("gld_transactions", "gst_transactions", "sm_efficiency", "ipc")]
-    rows += [["load ratio", "", res.load_ratio],
-             ["store saving", "", res.store_saving]]
-    return _fmt_table(["counter", "TensorRT", "OTF"], rows,
-                      "Fig.11 — attention profiling counters")
-
-
-def cmd_fig12(args) -> str:
-    """Fig. 12 — achieved memory throughput per kernel."""
-    from repro.eval.latency import fig12_throughput
-
-    res = fig12_throughput()
-    rows = [[n, b] for n, b in res.trt_steps]
-    rows += [["TensorRT avg (paper 98)", res.trt_avg_gbs],
-             ["E.T. OTF (paper 311)", res.otf_gbs]]
-    return _fmt_table(["kernel", "GB/s"], rows, "Fig.12 — memory throughput")
-
-
-def cmd_fig13(args) -> str:
-    """Fig. 13 — pruning-mask structure renderings."""
-    from repro.eval.accuracy_exp import fig13_masks
-
-    res = fig13_masks()
-    blocks = []
-    for method in ("attention_aware", "irregular", "column", "tile"):
-        blocks.append(f"--- {method} ---\n"
-                      + res.ascii_art(method, rows=20, cols=40))
-    return "Fig.13 — in_proj_weight masks (2400x800, 50%)\n" + \
-        "\n\n".join(blocks)
+    lines = ["experiments ('all' runs those that do not train), each "
+             "printing its benchmarks/results/ files:"]
+    for fig in FIGURES.values():
+        opts = [f"--model {'|'.join(fig.models)}"] if fig.models else []
+        opts += ["--scale (trains)"] if fig.trains else []
+        lines.append("  " + " ".join([f"{fig.name:<7}", *opts, "->",
+                                      ", ".join(fig.stems)]))
+    lines.append("serving: " + ", ".join(SERVING_CMDS))
+    return "\n".join(lines)
 
 
 def cmd_autotune(args) -> str:
     """Per-device attention-algorithm selection study + persisted cache.
 
     Sweeps the tuner over every modeled device for the chosen model's
-    attention geometry, prints the per-device winner-by-seqLen table with
-    the crossover seqLens, and (with ``--tune-out``) persists the warmed
-    selection cache as deterministic JSON so later runs start from a
-    cache hit.
+    attention geometry (the serving model table, ``small`` included),
+    prints the per-device winner-by-seqLen table with the crossover
+    seqLens, and (with ``--tune-out``) persists the warmed selection cache
+    as deterministic JSON so later runs start from a cache hit.
     """
-    from repro.config import BERT_BASE, DISTILBERT, TRANSFORMER_WT2
     from repro.runtime.autotune import TuneCache, crossover_report
+    from repro.serving import LoadgenSpec
 
-    cfg = {"BERT_BASE": BERT_BASE, "Transformer": TRANSFORMER_WT2,
-           "DistilBERT": DISTILBERT}.get(args.model, BERT_BASE)
+    cfg = LoadgenSpec(model=args.model).model_config()
     cache = TuneCache()
     report = crossover_report(cfg.num_heads, cfg.d_head, cache=cache)
     rows = []
@@ -252,9 +169,9 @@ def cmd_autotune(args) -> str:
         for name, val in sorted(entry["crossover"].items()):
             rows.append([dev, f"{name} takes over at",
                          "never" if val is None else val])
-    out = [_fmt_table(["device", "seqLen range", "winner"], rows,
-                      f"autotune — {cfg.name} "
-                      f"(H={cfg.num_heads}, d_head={cfg.d_head})")]
+    out = [render_table(["device", "seqLen range", "winner"], rows,
+                        f"autotune — {cfg.name} "
+                        f"(H={cfg.num_heads}, d_head={cfg.d_head})")]
     stats = cache.stats()
     out.append(f"[tune cache: {stats['size']} entries, "
                f"{stats['hits']} hits / {stats['misses']} misses]")
@@ -263,43 +180,6 @@ def cmd_autotune(args) -> str:
         out.append(f"[cache written to {args.tune_out} — deterministic "
                    "JSON, byte-identical across same-seed runs]")
     return "\n".join(out)
-
-
-def _scale(args):
-    from repro.eval.accuracy_exp import SMALL, TINY, Scale
-
-    return {"tiny": TINY, "small": SMALL,
-            "bench": Scale(n_train=256, n_dev=160, epochs_finetune=3,
-                           epochs_reweighted=2, epochs_retrain=2)}[args.scale]
-
-
-def cmd_fig14(args) -> str:
-    """Fig. 14 — Transformer accuracy/latency vs ratio (trains)."""
-    from repro.eval.accuracy_exp import fig14_transformer
-
-    res = fig14_transformer(scale=_scale(args))
-    rows = [["baseline", res.baseline_accuracy, ""]]
-    for m in res.accuracy:
-        for r, a, l in zip(res.ratios, res.accuracy[m], res.latency_us[m]):
-            rows.append([f"{m}@{r}", a, l])
-    return _fmt_table(["method@ratio", "accuracy", "latency us"], rows,
-                      "Fig.14 — Transformer accuracy/latency vs ratio")
-
-
-def cmd_table1(args) -> str:
-    """Table 1 — GLUE scores/ratios/latencies (trains)."""
-    from repro.eval.accuracy_exp import table1
-
-    res = table1(model_name=args.model, scale=_scale(args))
-    tasks = list(res.baseline.scores)
-    rows = [["baseline"] + [res.baseline.scores[t] for t in tasks]
-            + [res.baseline.avg_score]]
-    for name, row in res.methods.items():
-        rows.append([name] + [row.scores[t] for t in tasks] + [row.avg_score])
-        rows.append([f"  latency ms"] + [row.latency_ms[t] for t in tasks]
-                    + [row.avg_latency_ms])
-    return _fmt_table(["method"] + tasks + ["AVG"], rows,
-                      f"Table 1 — {args.model}")
 
 
 # --------------------------------------------------------------------------
@@ -387,16 +267,16 @@ def cmd_loadgen(args) -> str:
     from repro.serving import run_loadgen
 
     if args.workers > 0:
-        return _loadgen_pool(args)
+        return _run_pool(args)
     events = _make_events(args)
     result = run_loadgen(_loadgen_spec(args), events=events)
-    out = [result.report]
-    out += _write_observability(args, result.engine, result.metrics, events)
-    return "\n".join(out)
+    return "\n".join([result.report] + _write_observability(
+        args, result.engine, result.metrics, events))
 
 
-def _loadgen_pool(args) -> str:
-    """``loadgen --workers N``: the seeded mix on the replica pool."""
+def _run_pool(args) -> str:
+    """``loadgen``/``serve --workers N``: the seeded workload on the
+    replica pool, reported the way that command reports."""
     from repro.serving.loadgen import LoadgenResult, _render_report, drive_server
     from repro.serving.pool import build_pool_server
 
@@ -408,17 +288,22 @@ def _loadgen_pool(args) -> str:
     with server:
         responses = drive_server(server, spec, payloads)
         snap = server.pool_snapshot()
-    result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,
-                           responses=responses, metrics=server.metrics,
-                           engine=server.engine, slo=server.slo)
-    result.report = _render_report(result)
-    out = [result.report,
-           f"[pool backend: {args.workers} replica processes, "
-           f"{int(snap['steals'])} steals, "
-           f"{float(snap['shm_bytes']) / 2**20:.2f} MiB shared weights]"]
-    out += _write_observability(args, server.engine, server.metrics, events,
-                                pool=snap)
-    return "\n".join(out)
+    steals, mib = int(snap["steals"]), float(snap["shm_bytes"]) / 2**20
+    if args.experiment == "loadgen":
+        report = _render_report(LoadgenResult(
+            spec=spec, policy=policy, crossover=crossover,
+            responses=responses, metrics=server.metrics,
+            engine=server.engine, slo=server.slo))
+        report += (f"\n[pool backend: {args.workers} replica processes, "
+                   f"{steals} steals, {mib:.2f} MiB shared weights]")
+    else:
+        report = _serve_table(
+            args, spec, f"{args.workers} replica processes",
+            ["replica processes", args.workers], policy, crossover,
+            server.metrics, responses,
+            [["batches stolen", steals], ["shared weights MiB", round(mib, 2)]])
+    return "\n".join([report] + _write_observability(
+        args, server.engine, server.metrics, events, pool=snap))
 
 
 def cmd_serve(args) -> str:
@@ -442,7 +327,7 @@ def cmd_serve(args) -> str:
     from repro.serving.loadgen import build_payloads, drive_server
 
     if args.workers > 0:
-        return _serve_pool(args)
+        return _run_pool(args)
     spec = _loadgen_spec(args)
     cfg = spec.model_config()
     engines = [build_engine(spec) for _ in range(spec.workers)]
@@ -457,36 +342,11 @@ def cmd_serve(args) -> str:
                          slo=make_slo_policy(spec, engines[0], policy))
     with server:
         responses = drive_server(server, spec, payloads, timeout_s=60.0)
-    out = [_serve_table(args, spec, "live threads",
-                        ["workers", spec.workers], policy, crossover,
-                        server.metrics, responses)]
-    out += _write_observability(args, engines[0], server.metrics, events)
-    return "\n".join(out)
-
-
-def _serve_pool(args) -> str:
-    """``serve --workers N``: the same workload on the replica pool."""
-    from repro.serving.loadgen import drive_server
-    from repro.serving.pool import build_pool_server
-
-    spec = _loadgen_spec(args)
-    events = _make_events(args)
-    server, payloads, policy, crossover = build_pool_server(
-        spec, args.workers, max_inflight_per_tenant=args.tenant_quota,
-        events=events)
-    with server:
-        responses = drive_server(server, spec, payloads)
-        snap = server.pool_snapshot()
-    out = [_serve_table(
-        args, spec, f"{args.workers} replica processes",
-        ["replica processes", args.workers], policy, crossover,
-        server.metrics, responses,
-        [["batches stolen", int(snap["steals"])],
-         ["shared weights MiB",
-          round(float(snap["shm_bytes"]) / 2**20, 2)]])]
-    out += _write_observability(args, server.engine, server.metrics, events,
-                                pool=snap)
-    return "\n".join(out)
+    report = _serve_table(args, spec, "live threads",
+                          ["workers", spec.workers], policy, crossover,
+                          server.metrics, responses)
+    return "\n".join([report] + _write_observability(
+        args, engines[0], server.metrics, events))
 
 
 def _serve_table(args, spec, backend, workers_row, policy, crossover, m,
@@ -508,8 +368,27 @@ def _serve_table(args, spec, backend, workers_row, policy, crossover, m,
     if args.slo_us is not None:
         rows.append(["slo attainment", f"{m.slo.attainment:.4f} "
                                        f"({m.slo.met}/{m.slo.total})"])
-    return _fmt_table(["metric", "value"], rows,
-                      f"serve — {spec.engine} / {spec.model} ({backend})")
+    return render_table(["metric", "value"], rows,
+                        f"serve — {spec.engine} / {spec.model} ({backend})")
+
+
+def _one_request(args):
+    """``trace``/``profile``'s request: one seeded ``--seq-len`` input
+    (clamped to the model's longest) through the serving engine.
+
+    Returns ``(spec, engine, seq_len, result)``.
+    """
+    import numpy as np
+
+    from repro.serving import build_engine
+
+    spec = _loadgen_spec(args)
+    cfg = spec.model_config()
+    seq_len = min(args.seq_len, cfg.max_seq_len)
+    engine = build_engine(spec)
+    x = np.random.default_rng(spec.seed).standard_normal((seq_len,
+                                                          cfg.d_model))
+    return spec, engine, seq_len, engine.run(x)
 
 
 def cmd_trace(args) -> str:
@@ -519,19 +398,9 @@ def cmd_trace(args) -> str:
     same one ``--trace-out`` exports; each interior span shows the rollup of
     the Fig. 11/12 counters over the kernels it covers.
     """
-    import numpy as np
-
     from repro.obs import Span, engine_spans, render_span_tree
-    from repro.serving import build_engine
 
-    spec = _loadgen_spec(args)
-    cfg = spec.model_config()
-    seq_len = min(args.seq_len, cfg.max_seq_len)
-    engine = build_engine(spec)
-    rng = np.random.default_rng(spec.seed)
-    x = rng.standard_normal((seq_len, cfg.d_model))
-    res = engine.run(x)
-
+    spec, engine, seq_len, res = _one_request(args)
     root = Span(name="request0", kind="request", start_us=0.0,
                 end_us=res.latency_us,
                 attrs={"rid": 0, "seq_len": seq_len, "engine": engine.name})
@@ -556,20 +425,10 @@ def cmd_profile(args) -> str:
     folds a serving run's top-K slowest-request waterfalls into the same
     artifact so roofline and waterfall views reconcile in one place.
     """
-    import numpy as np
-
     from repro.obs import attribute, build_waterfalls, read_events, \
         write_report
-    from repro.serving import build_engine
 
-    spec = _loadgen_spec(args)
-    cfg = spec.model_config()
-    seq_len = min(args.seq_len, cfg.max_seq_len)
-    engine = build_engine(spec)
-    rng = np.random.default_rng(spec.seed)
-    x = rng.standard_normal((seq_len, cfg.d_model))
-    res = engine.run(x)
-
+    res = _one_request(args)[3]
     waterfalls = (build_waterfalls(read_events(args.events_in))
                   if args.events_in else None)
     if args.profile_out:
@@ -584,7 +443,7 @@ def cmd_profile(args) -> str:
                  f"{r['time_share']:.1%}", r["achieved_gbs"],
                  f"{r['bw_utilization']:.1%}", f"{r['sm_efficiency']:.1%}"]
                 for r in report[section]]
-        out.append(_fmt_table(
+        out.append(render_table(
             ["key", "launches", "us", "share", "GB/s", "bw util", "sm eff"],
             rows, f"profile — {section.replace('_', ' ')}"))
     if report["slowest_requests"]:
@@ -605,15 +464,8 @@ def _slowest_table(rows: list) -> str:
 
     body = [[r["rid"], r["bucket"], r["latency_us"], r["blame"]]
             + [r["stages_us"][s] for s in STAGES] for r in rows]
-    return _fmt_table(["rid", "bucket", "latency us", "blame"]
-                      + [s for s in STAGES],
-                      body, "slowest requests — per-stage waterfall (us)")
-
-
-def _load_events(path: str):
-    from repro.obs import read_events
-
-    return read_events(path)
+    return render_table(["rid", "bucket", "latency us", "blame"] + list(STAGES),
+                        body, "slowest requests — per-stage waterfall (us)")
 
 
 def cmd_explain(args) -> str:
@@ -628,11 +480,11 @@ def cmd_explain(args) -> str:
     """
     import json
 
-    from repro.obs import STAGES, EventLog, explain_report
+    from repro.obs import STAGES, EventLog, explain_report, read_events
     from repro.serving import run_loadgen
 
     if args.paths:
-        events = _load_events(args.paths[0])
+        events = read_events(args.paths[0])
         source = args.paths[0]
     else:
         events = EventLog()
@@ -660,7 +512,7 @@ def cmd_explain(args) -> str:
     rows.append(["little's law L vs λW",
                  f"{ll['mean_queue_depth']} vs {ll['product_depth']} "
                  f"(residual {ll['residual']})"])
-    out = [_fmt_table(["metric", "value"], rows, f"explain — {source}")]
+    out = [render_table(["metric", "value"], rows, f"explain — {source}")]
 
     out.append(_slowest_table(report["slowest_requests"]))
 
@@ -668,7 +520,7 @@ def cmd_explain(args) -> str:
     cp_rows = [[link["batch_id"], link["replica"], link["bucket"],
                 link["size"], link["start_us"], link["end_us"],
                 link["edge"]] for link in cp["links"]]
-    out.append(_fmt_table(
+    out.append(render_table(
         ["batch", "replica", "bucket", "size", "start us", "end us",
          "bound by"],
         cp_rows, f"critical path — {len(cp['links'])} links, "
@@ -694,16 +546,16 @@ def cmd_tracediff(args) -> "str | tuple[str, int]":
     """
     import json
 
-    from repro.obs import diff_events, diff_is_empty, render_diff
+    from repro.obs import diff_events, diff_is_empty, read_events, render_diff
 
     if len(args.paths) != 2:
         raise SystemExit("tracediff needs exactly two events-JSONL paths: "
                          "python -m repro tracediff A.jsonl B.jsonl")
     path_a, path_b = args.paths
-    report = diff_events(_load_events(path_a), _load_events(path_b),
+    report = diff_events(read_events(path_a), read_events(path_b),
                          label_a=path_a, label_b=path_b, top_k=args.top)
-    out = [_fmt_table(["metric", "A", "B", "delta"], render_diff(report),
-                      f"tracediff — A={path_a} B={path_b}")]
+    out = [render_table(["metric", "A", "B", "delta"], render_diff(report),
+                        f"tracediff — A={path_a} B={path_b}")]
     req = report["requests"]
     if diff_is_empty(report):
         out.append("runs are identical: every stage of every matched "
@@ -717,7 +569,7 @@ def cmd_tracediff(args) -> "str | tuple[str, int]":
                      r["b_latency_us"], r["delta_us"], r["blame"]]
                     for r in req["top_changed"]]
         if top_rows:
-            out.append(_fmt_table(
+            out.append(render_table(
                 ["rid", "bucket", "A us", "B us", "delta us", "blame"],
                 top_rows, "most-changed requests"))
     if args.diff_out:
@@ -731,22 +583,10 @@ def cmd_tracediff(args) -> "str | tuple[str, int]":
     return text
 
 
-LATENCY_CMDS = ("fig1", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11",
-                "fig12", "fig13")
-ALL_CMDS = LATENCY_CMDS + ("fig14", "table1")
-SERVING_CMDS = ("serve", "loadgen", "trace", "profile", "explain",
-                "tracediff", "autotune")
-
-
-def cmd_all(args) -> str:
-    """Run every latency experiment in sequence."""
-    out = []
-    for name in LATENCY_CMDS:
-        fn = globals()[f"cmd_{name}"]
-        t0 = time.time()
-        out.append(fn(args))
-        out.append(f"[{name}: {time.time() - t0:.1f}s]")
-    return "\n\n".join(out)
+SERVING_CMDS = {"serve": cmd_serve, "loadgen": cmd_loadgen,
+                "trace": cmd_trace, "profile": cmd_profile,
+                "explain": cmd_explain, "tracediff": cmd_tracediff,
+                "autotune": cmd_autotune}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -757,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "or serve traffic (serve / loadgen).",
     )
     p.add_argument("experiment",
-                   choices=list(ALL_CMDS) + list(SERVING_CMDS)
+                   choices=list(FIGURE_CMDS) + list(SERVING_CMDS)
                    + ["all", "list"],
                    help="which experiment or serving command to run")
     p.add_argument("paths", nargs="*", metavar="EVENTS",
@@ -875,13 +715,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment == "list":
-        print("experiments:", ", ".join(ALL_CMDS), "+ 'all'")
-        print("serving:", ", ".join(SERVING_CMDS))
-        return 0
-    fn = cmd_all if args.experiment == "all" else globals()[f"cmd_{args.experiment}"]
     try:
-        out = fn(args)
+        if args.experiment == "list":
+            out = cmd_list()
+        elif args.experiment in SERVING_CMDS:
+            out = SERVING_CMDS[args.experiment](args)
+        else:
+            out = cmd_figures(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))  # exits 2, like any other usage error
     if isinstance(out, tuple):  # (text, exit_code): tracediff --fail-on-diff

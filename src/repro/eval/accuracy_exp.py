@@ -7,6 +7,9 @@ reduced model scale controlled by ``scale`` so the full Table 1 grid runs in
 minutes. Latencies come from the V100S cost model at the *paper-scale*
 shapes (BERT_BASE / DistilBERT, seqLen 128), using the same per-task pruning
 ratios Table 1 reports.
+
+Each result's ``render()`` is the experiment's one text rendering, shared by
+``python -m repro`` and the benchmarks.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from repro.config import BERT_BASE, DISTILBERT, TRANSFORMER_WT2, ModelConfig, small_config
 from repro.data.glue import TaskData, make_task
 from repro.data.wikitext import SyntheticWikiText, batchify
+from repro.eval.format import render_table
 from repro.eval.metrics import glue_metric
 from repro.nn.models import EncoderClassifier, TransformerLM
 from repro.nn.trainer import TrainConfig, Trainer
@@ -188,6 +192,23 @@ class Table1Result:
     baseline: Table1Row
     methods: dict[str, Table1Row]
 
+    def render(self) -> str:
+        """Score, ratio and latency rows per method, one column per task."""
+        tasks = list(self.baseline.scores)
+        b = self.baseline
+        rows = [["baseline score"] + [b.scores[t] for t in tasks]
+                + [b.avg_score]]
+        for name, row in self.methods.items():
+            rows.append([f"{name} score"] + [row.scores[t] for t in tasks]
+                        + [row.avg_score])
+            rows.append([f"{name} ratio"] + [row.ratios[t] for t in tasks]
+                        + [row.avg_ratio])
+            rows.append([f"{name} latency ms"]
+                        + [row.latency_ms[t] for t in tasks]
+                        + [row.avg_latency_ms])
+        return render_table(["row"] + tasks + ["AVG"], rows,
+                            title=f"Table 1 — {self.model_name}")
+
 
 def _full_model_latency_ms(model_name: str, method: PruneMethod,
                            ratio: float, seq_len: int = 128,
@@ -256,6 +277,18 @@ class Fig14Result:
     baseline_accuracy: float
     accuracy: dict[str, list[float]]  # method -> series (incl. "lowrank")
     latency_us: dict[str, list[float]]
+
+    def render(self) -> str:
+        """Accuracy and latency per method@ratio (n/a where unmodeled)."""
+        rows: list[list[object]] = [["baseline", self.baseline_accuracy, ""]]
+        for m in self.accuracy:
+            for r, acc, lat in zip(self.ratios, self.accuracy[m],
+                                   self.latency_us[m]):
+                rows.append([f"{m}@{r}", acc,
+                             lat if np.isfinite(lat) else "n/a"])
+        return render_table(["method@ratio", "next-word acc", "latency us"],
+                            rows, title="Fig.14 Transformer accuracy & "
+                                        "latency vs ratio")
 
 
 def fig14_transformer(
@@ -351,6 +384,13 @@ class Fig13Result:
         chars = " .:-=+*#"
         idx = np.minimum((density * len(chars)).astype(int), len(chars) - 1)
         return "\n".join("".join(chars[i] for i in row) for row in idx)
+
+    def render(self) -> str:
+        """One 24×48 density block per method, headed by its sparsity."""
+        return "\n\n".join(
+            f"--- {method} (achieved sparsity {1.0 - m.mean():.3f}, "
+            f"shape {m.shape}) ---\n" + self.ascii_art(method, rows=24, cols=48)
+            for method, m in self.masks.items())
 
 
 def fig13_masks(d_model: int = 800, ratio: float = 0.5,

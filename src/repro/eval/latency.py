@@ -1,17 +1,20 @@
-"""Latency / profiling experiment harnesses (Figs. 1, 7, 8, 9, 10, 11, 12).
+"""Latency / profiling experiment harnesses (Figs. 1, 4, 7, 8, 9, 10, 11, 12).
 
 Each function regenerates one figure's data from the simulator and returns a
-plain-data result the benchmarks print and the tests assert shape-claims
-against. All latencies are V100S cost-model microseconds, not wall clock.
+plain-data result the tests assert shape-claims against. Its ``render()`` is
+the figure's one text table: what ``python -m repro figN`` prints and what
+the figure's benchmark writes to ``benchmarks/results/``. All latencies are
+V100S cost-model microseconds, not wall clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.attention import (
+    OverflowStudy,
     flash_attention,
     flash_crossover_seqlen,
     fused_attention,
@@ -20,6 +23,7 @@ from repro.attention import (
     otf_crossover_seqlen,
 )
 from repro.config import BERT_BASE, DISTILBERT, TRANSFORMER_WT2, ModelConfig
+from repro.eval.format import render_table
 from repro.gpu import Timeline
 from repro.gpu.device import DeviceSpec, default_device
 from repro.ops import GemmAlgo, gemm, tile_gemm, col_pruned_gemm, row_pruned_gemm
@@ -58,9 +62,20 @@ class Fig1Result:
 
     @property
     def speedup(self) -> float:
-        """Mixed-precision time over the reordered pure-FP16 time."""
         """TensorRT / E.T. total-time ratio."""
         return self.trt_total_us / self.et_total_us
+
+    def render(self) -> str:
+        """Totals, the per-phase breakdown and the speedup."""
+        rows: list[list[object]] = [["total", self.trt_total_us,
+                                     self.et_total_us]]
+        for tag in sorted(set(self.trt_breakdown) | set(self.et_breakdown)):
+            rows.append([tag, self.trt_breakdown.get(tag, 0.0),
+                         self.et_breakdown.get(tag, 0.0)])
+        rows.append(["speedup (paper ~2.5x)", self.speedup, ""])
+        return render_table(["phase", "TensorRT us", "E.T. us"], rows,
+                            title="Fig.1 encoder breakdown (Transformer, "
+                                  "s=128, 80% pruned)")
 
 
 def fig01_breakdown(config: ModelConfig = TRANSFORMER_WT2,
@@ -88,6 +103,43 @@ def fig01_breakdown(config: ModelConfig = TRANSFORMER_WT2,
 
 
 # ---------------------------------------------------------------------------
+# Fig. 4 — FP16 overflow of Q·Kᵀ and the scaling reorder.
+# ---------------------------------------------------------------------------
+
+
+class Fig4Result(OverflowStudy):
+    """The overflow study with Fig. 4's table."""
+
+    def render(self) -> str:
+        """Overflow fraction per design, plus the reorder's exactness."""
+        rows = [
+            ["post-scale, pure FP16 (Fig. 4's shaded map)",
+             self.post_scale_fp16],
+            ["pre-scale (E.T. reorder), pure FP16", self.pre_scale_fp16],
+            ["post-scale, mixed precision", self.post_scale_mixed],
+            ["post-scale, BF16 (A100/TPU mode, §2.2)", self.post_scale_bf16],
+            ["BF16 median relative error", self.bf16_rel_error],
+            ["max |pre - post| in exact arithmetic", self.max_abs_error],
+        ]
+        return render_table(["design", "overflow fraction"], rows,
+                            title="Fig.4 Q.K^T overflow (s=16, d=256)")
+
+
+def fig04_overflow(seed: int = 0) -> Fig4Result:
+    """Fig. 4's setting: 2 heads, seqLen 16, d 256.
+
+    The inputs are coherently accumulating activations, as trained Q/K
+    projections produce (zero-mean noise would need implausible magnitudes
+    to overflow; see DESIGN.md).
+    """
+    rng = np.random.default_rng(seed)
+    h, s, d = 2, 16, 256
+    q = 18.0 + 5.0 * rng.standard_normal((h, s, d))
+    k = 18.0 + 5.0 * rng.standard_normal((h, s, d))
+    return Fig4Result(**asdict(OverflowStudy.run(q, k)))
+
+
+# ---------------------------------------------------------------------------
 # Fig. 7 — encoder latency vs sparsity, all four engines.
 # ---------------------------------------------------------------------------
 
@@ -104,6 +156,19 @@ class Fig7Result:
         et = self.latency_us["et"]
         base = self.latency_us[baseline]
         return max(b / e for b, e in zip(base, et))
+
+    def render(self) -> str:
+        """Latency per engine and sparsity, plus E.T.'s max speedups."""
+        rows: list[list[object]] = [
+            [sp] + [series[i] for series in self.latency_us.values()]
+            for i, sp in enumerate(self.sparsities)]
+        rows.append(["max speedup (paper 13.7/3.4/2.5)",
+                     self.max_speedup_over("pytorch"),
+                     self.max_speedup_over("tensorrt"),
+                     self.max_speedup_over("fastertransformer"), ""])
+        return render_table(["sparsity"] + list(self.latency_us), rows,
+                            title="Fig.7 encoder latency us (BERT_BASE, "
+                                  "s=128)")
 
 
 def fig07_encoder_latency(
@@ -179,6 +244,24 @@ class Fig8Result:
                   ("flash", self.flash_us[i]))
         return min(series, key=lambda kv: kv[1])[0]
 
+    def render(self) -> str:
+        """Per-seqLen latencies, winner and speedup, plus both crossovers."""
+        rows: list[list[object]] = [
+            [s, t, o, p, f, self.winner(i), t / min(o, p, f)]
+            for i, (s, t, o, p, f) in enumerate(
+                zip(self.seq_lens, self.tensorrt_us, self.otf_us,
+                    self.partial_otf_us, self.flash_us))
+        ]
+        rows.append([f"otf->partial crossover (paper ~224): {self.crossover}",
+                     "", "", "", "", "", ""])
+        rows.append([f"flash takes over at: {self.flash_crossover}",
+                     "", "", "", "", "", ""])
+        return render_table(["seqLen", "TensorRT us", "OTF us",
+                             "partial OTF us", "flash us", "winner",
+                             "speedup"],
+                            rows, title=f"Fig.8 attention latency — "
+                                        f"{self.model}")
+
 
 def fig08_attention(
     model: str = "BERT_BASE",
@@ -230,6 +313,15 @@ class Fig9Result:
         """Mean pre-compute speedup across head counts."""
         return float(np.mean(self.speedup[d_model]))
 
+    def render(self) -> str:
+        """Speedup per d_model and head count, with the per-d_model mean."""
+        rows = [[d] + self.speedup[d] + [self.mean_speedup(d)]
+                for d in self.d_models]
+        return render_table(["d_model"] + [f"H={h}" for h in self.heads]
+                            + ["mean"], rows,
+                            title="Fig.9 pre-computed linear transform "
+                                  "speedup (paper means: 1.1/1.3/1.6)")
+
 
 def fig09_precompute(
     d_models: tuple[int, ...] = (768, 1024, 2048),
@@ -278,6 +370,18 @@ class Fig10Result:
     def speedup(self, method: str) -> list[float]:
         """Dense-baseline time over the method time, per sparsity."""
         return [self.dense_us / t for t in self.method_us[method]]
+
+    def render(self) -> str:
+        """Speedup per method and sparsity over the dense baseline."""
+        row, col, tile = (self.speedup(m) for m in ("row", "column", "tile"))
+        rows: list[list[object]] = [
+            [sp, row[i], col[i], tile[i]]
+            for i, sp in enumerate(self.sparsities)]
+        rows.append([f"dense baseline: {self.dense_us:.1f} us "
+                     "(CUBLAS_GEMM_ALGO5_TENSOR_OP)", "", "", ""])
+        return render_table(["sparsity", "row x", "column x", "tile x"],
+                            rows, title="Fig.10 pruned linear speedup, "
+                                        f"d={self.d_model}")
 
 
 def fig10_pruned_gemm(
@@ -351,6 +455,23 @@ class Fig11Result:
         """Relative IPC gain of OTF (paper ~22%)."""
         return self.otf["ipc"] / self.trt["ipc"] - 1.0
 
+    def render(self) -> str:
+        """Counters side by side, plus the paper's four ratios."""
+        keys = ["gld_transactions", "gst_transactions", "sm_efficiency",
+                "ipc", "total_time_us", "num_kernels"]
+        rows: list[list[object]] = [[k, self.trt[k], self.otf[k]]
+                                    for k in keys]
+        rows += [
+            ["load ratio (paper ~1.8x)", "", self.load_ratio],
+            ["store saving (paper ~5x)", "", self.store_saving],
+            ["sm_efficiency boost (paper ~30%)", "",
+             self.sm_efficiency_boost],
+            ["ipc boost (paper ~22%)", "", self.ipc_boost],
+        ]
+        return render_table(["counter", "TensorRT", "E.T. OTF"], rows,
+                            title="Fig.11 attention profiling (BERT_BASE, "
+                                  "s=128)")
+
 
 def fig11_profiling(config: ModelConfig = BERT_BASE,
                     seq_len: int = SEQ_LEN_DEFAULT,
@@ -384,6 +505,16 @@ class Fig12Result:
     trt_steps: list[tuple[str, float]]  # (kernel, GB/s) incl. GEMM steps ①/⑦
     trt_avg_gbs: float
     otf_gbs: float
+
+    def render(self) -> str:
+        """GB/s per TensorRT step, their average and the OTF kernel's."""
+        rows: list[list[object]] = [[name, bw] for name, bw in self.trt_steps]
+        rows += [
+            ["TensorRT average (paper 98 GB/s)", self.trt_avg_gbs],
+            ["E.T. OTF kernel (paper 311 GB/s)", self.otf_gbs],
+        ]
+        return render_table(["kernel", "GB/s"], rows,
+                            title="Fig.12 achieved memory throughput")
 
 
 def fig12_throughput(config: ModelConfig = BERT_BASE,

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.gpu.device import A100, V100S, all_devices, device_by_name

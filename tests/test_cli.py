@@ -90,3 +90,63 @@ class TestAutotuneCommand:
         assert "cache written" in capsys.readouterr().out
         restored = TuneCache()
         assert restored.load(path) > 0
+
+
+class TestFigureRegistry:
+    def test_parser_names_every_registered_figure(self):
+        from repro.cli import FIGURE_CMDS
+        from repro.eval.figures import FIGURES
+
+        assert tuple(FIGURES) == FIGURE_CMDS
+
+    def test_cli_prints_the_figures_render(self, capsys):
+        from repro.eval.latency import fig08_attention
+
+        assert main(["fig8", "--model", "Transformer"]) == 0
+        out = capsys.readouterr().out
+        assert out == fig08_attention("Transformer").render() + "\n"
+
+    def test_serving_path_loads_no_figure_code(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "main(['loadgen', '--model', 'small', '--requests', '8',\n"
+            "      '--max-len', '64', '--seq-step', '16'])\n"
+            "bad = [m for m in ('repro.eval.figures', 'repro.eval.latency',\n"
+            "                   'repro.eval.accuracy_exp')\n"
+            "       if m in sys.modules]\n"
+            "sys.exit(f'loaded {bad}' if bad else 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestModelValidation:
+    def test_fig8_rejects_distilbert(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig8", "--model", "DistilBERT"])
+        assert exc.value.code == 2
+        assert "BERT_BASE or Transformer" in capsys.readouterr().err
+
+    def test_table1_rejects_transformer_before_training(self, monkeypatch,
+                                                        capsys):
+        import repro.eval.accuracy_exp as acc
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("table1 trained before validating --model")
+
+        monkeypatch.setattr(acc, "table1", no_training)
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--model", "Transformer", "--scale", "tiny"])
+        assert exc.value.code == 2
+        assert "BERT_BASE or DistilBERT" in capsys.readouterr().err
+
+    def test_autotune_small_uses_the_small_model(self, capsys):
+        assert main(["autotune", "--model", "small"]) == 0
+        out = capsys.readouterr().out
+        assert "H=4, d_head=16" in out
+        assert "BERT_BASE" not in out

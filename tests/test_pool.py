@@ -36,7 +36,6 @@ from repro.serving.loadgen import (
 )
 from repro.serving.pool import (
     AdmissionController,
-    PoolServer,
     QuotaExceededError,
     Router,
     build_pool_server,
