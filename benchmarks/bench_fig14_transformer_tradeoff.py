@@ -12,16 +12,13 @@ paper-scale Transformer (L=2, d_model=800, H=4).
 
 import numpy as np
 
-from repro.eval.accuracy_exp import Scale, fig14_transformer
+from repro.eval.accuracy_exp import (
+    FIG14_BENCH_SCALE as BENCH_SCALE,
+    FIG14_RATIOS as RATIOS,
+    fig14_transformer,
+)
 
 from _util import emit, once
-
-#: Benchmark-friendly scale: each (method, ratio) cell trains in a couple of
-#: seconds; EXPERIMENTS.md records a larger run.
-BENCH_SCALE = Scale(n_train=320, n_dev=128, epochs_reweighted=2,
-                    epochs_retrain=3, epochs_pretrain=12)
-
-RATIOS = (0.5, 0.7, 0.9)
 
 
 def test_fig14_transformer_tradeoff(benchmark):

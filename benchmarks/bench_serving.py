@@ -293,7 +293,6 @@ def measure_pool_vs_thread(model: str = "small", n_workers: int = 2,
         "pool_vs_thread_iqr": [round(q1, 2), round(q3, 2)],
         "pool_wins": sum(r > 1.0 for r in ratios),
         "outputs_bitwise_equal": equal,
-        "steals": int(snapshot["steals"]),
         "shm_bytes": int(snapshot["shm_bytes"]),
     }
 

@@ -7,11 +7,10 @@ attributes *and* its deliberately lock-less collaborators
 the deterministic :class:`Scheduler` is single-threaded and stays
 lock-free by design. The replica pool's parent-side classes
 (:class:`~repro.serving.pool.server.PoolServer`,
-:class:`~repro.serving.pool.router.Router`,
-:class:`~repro.serving.pool.router.AdmissionController`) each own a
-lock and are covered by the same scan — the pool's dispatcher and
-collector threads share all three. This pass checks the statically
-checkable half of that contract:
+:class:`~repro.serving.pool.admission.AdmissionController`) each own a
+lock and are covered by the same scan — the pool's submitters and slot
+threads share both. This pass checks the statically checkable half of
+that contract:
 
 - a class that *owns* a lock attribute (``self._lock = threading.Lock()``,
   an ``RLock`` or a ``Condition``) must guard every ``self.*`` write and

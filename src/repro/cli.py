@@ -26,9 +26,9 @@ the deterministic virtual-time scheduler — same seed, same report.
 ``serve`` runs the same pipeline behind the thread-backed async server.
 ``--workers N`` (N > 0) swaps either command onto the multi-process
 replica pool: worker processes share one read-only shared-memory weight
-segment and a load-aware router spreads batches across them (outputs stay
-bitwise-identical to the thread backend; ``--tenant-quota`` caps each
-tenant's in-flight requests).
+segment and each takes the next batch whenever it has a free slot
+(outputs stay bitwise-identical to the thread backend; ``--tenant-quota``
+caps each tenant's in-flight requests).
 
 Observability (ISSUE 2)::
 
@@ -288,20 +288,20 @@ def _run_pool(args) -> str:
     with server:
         responses = drive_server(server, spec, payloads)
         snap = server.pool_snapshot()
-    steals, mib = int(snap["steals"]), float(snap["shm_bytes"]) / 2**20
+    mib = float(snap["shm_bytes"]) / 2**20
     if args.experiment == "loadgen":
         report = _render_report(LoadgenResult(
             spec=spec, policy=policy, crossover=crossover,
             responses=responses, metrics=server.metrics,
             engine=server.engine, slo=server.slo))
         report += (f"\n[pool backend: {args.workers} replica processes, "
-                   f"{steals} steals, {mib:.2f} MiB shared weights]")
+                   f"{mib:.2f} MiB shared weights]")
     else:
         report = _serve_table(
             args, spec, f"{args.workers} replica processes",
             ["replica processes", args.workers], policy, crossover,
             server.metrics, responses,
-            [["batches stolen", steals], ["shared weights MiB", round(mib, 2)]])
+            [["shared weights MiB", round(mib, 2)]])
     return "\n".join([report] + _write_observability(
         args, server.engine, server.metrics, events, pool=snap))
 

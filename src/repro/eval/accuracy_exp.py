@@ -84,6 +84,13 @@ TINY = Scale(n_train=96, n_dev=64, epochs_finetune=2, epochs_reweighted=1,
              epochs_retrain=1, seq_len=16)
 SMALL = Scale()
 
+#: Fig. 14's pruning ratios and training scale as its benchmark runs them
+#: (``repro fig14 --scale bench`` reproduces the benchmark's result file):
+#: each (method, ratio) cell trains in a couple of seconds.
+FIG14_RATIOS = (0.5, 0.7, 0.9)
+FIG14_BENCH_SCALE = Scale(n_train=320, n_dev=128, epochs_reweighted=2,
+                          epochs_retrain=3, epochs_pretrain=12)
+
 
 def _small_cfg(model_name: str, scale: Scale) -> ModelConfig:
     return small_config(

@@ -37,6 +37,14 @@ def _scale(name: str) -> Any:
                                epochs_reweighted=2, epochs_retrain=2)}[name]
 
 
+def _fig14(scale: str) -> Any:
+    """Fig. 14 at the benchmark's ratios; ``bench`` is its training scale."""
+    acc = _accuracy()
+    return acc.fig14_transformer(
+        acc.FIG14_RATIOS,
+        scale=acc.FIG14_BENCH_SCALE if scale == "bench" else _scale(scale))
+
+
 @dataclass(frozen=True)
 class Figure:
     """One paper figure or table the CLI regenerates."""
@@ -76,8 +84,7 @@ FIGURES: dict[str, Figure] = {f.name: f for f in (
            ("fig12_throughput",)),
     Figure("fig13", lambda m, s: [_accuracy().fig13_masks()],
            ("fig13_masks",)),
-    Figure("fig14",
-           lambda m, s: [_accuracy().fig14_transformer(scale=_scale(s))],
+    Figure("fig14", lambda m, s: [_fig14(s)],
            ("fig14_transformer_tradeoff",), trains=True),
     Figure("table1",
            lambda m, s: [_accuracy().table1(m, scale=_scale(s))],

@@ -14,9 +14,10 @@ batch_formed) is split three ways — *bucket_fill* (waiting for the last
 batchmate to arrive), *replica_wait* (the portion of the remaining wait
 during which every replica was busy), and *hol_blocking* (a replica was
 free but older work went first, or the batcher held the bucket open);
-``dispatch_wait`` is batch_formed → dispatch (router backlog / pipe
-feed), ``execution`` is dispatch → exec, and ``collection`` is exec →
-complete. Stage durations are differences of monotonically clamped
+``dispatch_wait`` is batch_formed → dispatch (a batch handed back after
+a replica death waits here), ``execution`` is dispatch → the batch's
+end (its ``exec`` event, else its members' completion), and
+``collection`` is that end → complete. Stage durations are differences of monotonically clamped
 checkpoints, so they are non-negative and telescope to
 ``complete.ts - admit.ts`` to the last bit — :mod:`tools.check_trace`
 and the property tests enforce this for every backend.

@@ -5,8 +5,8 @@ Scheduler`, the thread-backed :class:`~repro.serving.server.AsyncServer`,
 the multi-process :class:`~repro.serving.pool.server.PoolServer`) emits
 one :class:`Event` per lifecycle transition of a request or batch::
 
-    admit ──> enqueue ──> batch_formed ──> dispatch ──> exec ──> complete
-      └─> reject / quota_reject                └─> steal / worker_death / rebook
+    admit ──> enqueue ──> batch_formed ──> dispatch ──> complete
+      └─> reject / quota_reject    └─> exec (error) / worker_death / rebook
 
 Events carry only virtual/driver-clock timestamps — never a wall-clock
 read of their own (etlint ET301 enforces this for the whole ``obs``
@@ -44,11 +44,10 @@ EVENT_KINDS = (
     "reject",        # backpressure rejection at admission (rid)
     "quota_reject",  # per-tenant quota rejection (rid, tenant)
     "batch_formed",  # batcher closed a bucket into a batch (batch_id)
-    "dispatch",      # batch handed to a worker/replica (batch_id, replica)
-    "steal",         # idle replica stole a batch (batch_id, replica, src)
-    "exec",          # replica reported batch execution (batch_id, replica)
+    "dispatch",      # batch ran on a worker/replica (batch_id, replica)
+    "exec",          # replica failed a batch, members shed (batch_id, replica)
     "worker_death",  # replica process died and was retired (replica)
-    "rebook",        # orphaned batch re-assigned after a death (batch_id)
+    "rebook",        # batch handed back after a death (batch_id, src)
     "complete",      # request reached a served terminal state (rid)
 )
 
@@ -76,7 +75,7 @@ class Event:
     seq_len: int | None = None
     tenant: int | None = None
     replica: int | None = None
-    src: int | None = None  # steal victim / rebook source replica
+    src: int | None = None  # rebook: the replica that died holding it
     size: int | None = None  # batch size for batch-scoped events
     deadline_us: float | None = None
     slo_met: bool | None = None

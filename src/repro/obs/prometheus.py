@@ -139,10 +139,10 @@ def pool_prometheus_text(pool: dict, namespace: str = "repro") -> str:
     """Render one pool snapshot's replica-level series.
 
     ``pool`` is :meth:`repro.serving.pool.server.PoolServer.pool_snapshot`
-    output: per-replica load (``backlog``/``outstanding_us``/``inpipe``/
-    ``alive``), steal and dispatch totals, shared-memory footprint, and
-    per-tenant in-flight counts. Returned text appends cleanly after
-    :func:`prometheus_text` — series names never collide.
+    output: per-replica load (``inpipe``/``alive``), the dispatch total,
+    shared-memory footprint, and per-tenant in-flight counts. Returned
+    text appends cleanly after :func:`prometheus_text` — series names
+    never collide.
     """
     w = _Writer(namespace)
     replicas: dict = pool.get("replicas", {})  # type: ignore[assignment]
@@ -150,21 +150,10 @@ def pool_prometheus_text(pool: dict, namespace: str = "repro") -> str:
     w.series("pool_replicas_alive", "gauge",
              "Replica processes currently alive.",
              [("", float(sum(1 for _, r in rows if r.get("alive"))))])
-    w.series("pool_replica_backlog", "gauge",
-             "Batches booked on a replica, not yet in its pipe (stealable).",
-             [(f'{{replica="{rid}"}}', float(r.get("backlog", 0)))
-              for rid, r in rows])
-    w.series("pool_replica_outstanding_us", "gauge",
-             "Cost-model microseconds of work booked on a replica.",
-             [(f'{{replica="{rid}"}}', float(r.get("outstanding_us", 0.0)))
-              for rid, r in rows])
     w.series("pool_replica_inpipe", "gauge",
-             "Batches inside a replica's task pipe.",
+             "Batches sent to a replica and not yet answered.",
              [(f'{{replica="{rid}"}}', float(r.get("inpipe", 0)))
               for rid, r in rows])
-    w.series("pool_steals_total", "counter",
-             "Batches a replica stole from another's backlog.",
-             [("", float(pool.get("steals", 0.0)))])
     w.series("pool_batches_dispatched_total", "counter",
              "Batches handed to replica processes.",
              [("", float(pool.get("batches_dispatched", 0.0)))])

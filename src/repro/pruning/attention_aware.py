@@ -32,6 +32,26 @@ class MatrixRole(enum.Enum):
     DENSE = "dense"
 
 
+class PruneMethod(enum.Enum):
+    """The four pruning methods compared in Table 1 (plus none)."""
+
+    NONE = "none"
+    IRREGULAR = "irregular"
+    COLUMN = "column"
+    ROW = "row"
+    TILE = "tile"
+    ATTENTION_AWARE = "attention_aware"
+
+
+#: The role a uniform (non-adaptive) method gives every prunable matrix.
+UNIFORM_ROLE = {
+    PruneMethod.IRREGULAR: MatrixRole.IRREGULAR,
+    PruneMethod.COLUMN: MatrixRole.COLUMN,
+    PruneMethod.ROW: MatrixRole.ROW,
+    PruneMethod.TILE: MatrixRole.TILE,
+}
+
+
 @dataclass
 class AttentionAwarePlan:
     """Per-matrix-kind role map for an encoder stack.

@@ -13,7 +13,6 @@ in Table 1 / Fig. 14:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -21,25 +20,16 @@ import numpy as np
 
 from repro.nn.modules import Module, Parameter
 from repro.pruning.attention_aware import (
+    UNIFORM_ROLE,
     AttentionAwarePlan,
     MatrixRole,
+    PruneMethod,
     matrix_kind,
     plan_attention_aware,
 )
 from repro.pruning.masks import col_mask, irregular_mask, row_mask, sparsity, tile_mask
 from repro.pruning.reweighted import ReweightedGroupLasso
 from repro.tensor.tiles import TENSOR_TILE
-
-
-class PruneMethod(enum.Enum):
-    """The four pruning methods compared in Table 1 (plus none)."""
-
-    NONE = "none"
-    IRREGULAR = "irregular"
-    COLUMN = "column"
-    ROW = "row"
-    TILE = "tile"
-    ATTENTION_AWARE = "attention_aware"
 
 
 @dataclass
@@ -91,13 +81,6 @@ def _mask_for(role: MatrixRole, w: np.ndarray, ratio: float,
     raise ValueError(f"unhandled role {role}")
 
 
-_UNIFORM_ROLE = {
-    PruneMethod.IRREGULAR: MatrixRole.IRREGULAR,
-    PruneMethod.COLUMN: MatrixRole.COLUMN,
-    PruneMethod.ROW: MatrixRole.ROW,
-    PruneMethod.TILE: MatrixRole.TILE,
-}
-
 
 def prune_model(
     model: Module,
@@ -119,7 +102,7 @@ def prune_model(
         if method is PruneMethod.ATTENTION_AWARE:
             role = plan.role_for(kind)
         else:
-            role = _UNIFORM_ROLE[method]
+            role = UNIFORM_ROLE[method]
         mask = _mask_for(role, p.data, ratio, tile)
         p.set_mask(mask)
         if role is MatrixRole.ROW:

@@ -16,12 +16,13 @@ import numpy as np
 
 from repro.config import ModelConfig
 from repro.pruning.attention_aware import (
+    UNIFORM_ROLE,
     AttentionAwarePlan,
     MatrixRole,
+    PruneMethod,
     plan_attention_aware,
 )
 from repro.pruning.masks import col_mask, irregular_mask, row_mask, tile_mask
-from repro.pruning.pipeline import PruneMethod, _UNIFORM_ROLE
 from repro.tensor.tiles import TENSOR_TILE
 
 #: The prunable matrices of one encoder layer, in Fig. 1 order.
@@ -173,7 +174,7 @@ class EncoderWeights:
             for kind in MATRIX_KINDS:
                 role = (plan.role_for(kind)
                         if method is PruneMethod.ATTENTION_AWARE
-                        else _UNIFORM_ROLE[method])
+                        else UNIFORM_ROLE[method])
                 w = layer.weight(kind)
                 if role is MatrixRole.DENSE:
                     mask = np.ones_like(w)

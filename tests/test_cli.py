@@ -1,5 +1,7 @@
 """Command-line experiment runner."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -106,6 +108,32 @@ class TestFigureRegistry:
         out = capsys.readouterr().out
         assert out == fig08_attention("Transformer").render() + "\n"
 
+    def test_fig14_bench_scale_runs_the_benchmarks_inputs(
+            self, monkeypatch, capsys):
+        """``fig14 --scale bench`` trains exactly what the benchmark does,
+        so it reproduces the benchmark's result file."""
+        import pathlib
+
+        import repro.eval.accuracy_exp as acc
+
+        bench_dir = pathlib.Path(__file__).parents[1] / "benchmarks"
+        monkeypatch.syspath_prepend(str(bench_dir))
+        bench = importlib.import_module("bench_fig14_transformer_tradeoff")
+        calls = []
+
+        class Result:
+            def render(self):
+                return "fig14"
+
+        def record(ratios, scale):
+            calls.append((ratios, scale))
+            return Result()
+
+        monkeypatch.setattr(acc, "fig14_transformer", record)
+        assert main(["fig14", "--scale", "bench"]) == 0
+        assert capsys.readouterr().out == "fig14\n"
+        assert calls == [(bench.RATIOS, bench.BENCH_SCALE)]
+
     def test_serving_path_loads_no_figure_code(self):
         import subprocess
         import sys
@@ -116,7 +144,7 @@ class TestFigureRegistry:
             "main(['loadgen', '--model', 'small', '--requests', '8',\n"
             "      '--max-len', '64', '--seq-step', '16'])\n"
             "bad = [m for m in ('repro.eval.figures', 'repro.eval.latency',\n"
-            "                   'repro.eval.accuracy_exp')\n"
+            "                   'repro.eval.accuracy_exp', 'repro.nn')\n"
             "       if m in sys.modules]\n"
             "sys.exit(f'loaded {bad}' if bad else 0)\n"
         )

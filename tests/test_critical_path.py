@@ -149,8 +149,8 @@ class TestWaterfallPartition:
             drive_server(server, spec, payloads)
         waterfalls = build_waterfalls(events)
         _assert_exact_partition(waterfalls)
-        # only the pool emits dispatch after batch_formed (router feed),
-        # so dispatch_wait is reconstructible (and must stay >= 0)
+        # a batch handed back after a death is dispatched late, so
+        # dispatch_wait must stay >= 0 on the pool's log
         assert all(w.stages["dispatch_wait"] >= 0.0 for w in waterfalls)
 
 
