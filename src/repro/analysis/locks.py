@@ -5,9 +5,9 @@ Builds the project's **lock-acquisition order graph**: a node per lock
 attributes unified onto their underlying lock, or ``(module, name)`` for
 module-level locks), and an edge ``A → B`` wherever code acquires ``B``
 while holding ``A`` — directly via nested ``with`` statements, or
-transitively through calls resolved by the call graph (a submitter
-holding ``LiveServer._work`` while ``RequestQueue.put`` takes
-``RequestQueue._lock`` is exactly such an edge).
+transitively through calls resolved by the call graph (a pool submitter
+holding ``LiveServer._work`` while ``AdmissionController.admit`` takes
+``AdmissionController._lock`` would be exactly such an edge).
 
 - **ET601**: any cycle in the graph is a deadlock awaiting the right
   interleaving; the finding carries a ``file:line`` witness for every

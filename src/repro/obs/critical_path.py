@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+from repro.eval.metrics import percentile
 from repro.obs.events import Event, EventLog
 
 #: Schema version of the ``explain`` report (bump on breaking changes).
@@ -501,20 +502,6 @@ def littles_law(events: EventsLike) -> dict[str, float]:
 # --------------------------------------------------------------------------
 
 
-def _percentile(xs: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile (numpy's default method)."""
-    if not xs:
-        return 0.0
-    s = sorted(xs)
-    if len(s) == 1:
-        return s[0]
-    pos = (len(s) - 1) * q / 100.0
-    lo = int(pos)
-    frac = pos - lo
-    hi = min(lo + 1, len(s) - 1)
-    return s[lo] * (1.0 - frac) + s[hi] * frac
-
-
 def slowest_requests(waterfalls: Sequence[Waterfall],
                      top_k: int = 5) -> list[dict[str, object]]:
     """Top-K waterfalls by latency (stable: ties break on rid)."""
@@ -582,9 +569,12 @@ def explain_report(events: EventsLike, top_k: int = 5,
         "latency_us": {
             "mean": _round(sum(latencies) / len(latencies)
                            if latencies else 0.0),
-            "p50": _round(_percentile(latencies, 50.0)),
-            "p95": _round(_percentile(latencies, 95.0)),
-            "p99": _round(_percentile(latencies, 99.0)),
+            "p50": _round(percentile(latencies, 50.0)
+                          if latencies else 0.0),
+            "p95": _round(percentile(latencies, 95.0)
+                          if latencies else 0.0),
+            "p99": _round(percentile(latencies, 99.0)
+                          if latencies else 0.0),
             "max": _round(max(latencies) if latencies else 0.0),
         },
         "slo": {

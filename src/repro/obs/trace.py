@@ -179,7 +179,7 @@ def _batch_spans(idx: _RunIndex, batch: _BatchInfo, engine: "Engine",
     per member with its ``queue_wait``/``service`` phases.
 
     Members are laid in queue order (admission time, then rid — the
-    order the batcher pops them at equal priority) and their kernel
+    order of the batcher's per-bucket FIFO) and their kernel
     trees serially inside the batch window, exactly how the
     single-stream cost model spends the service time.
     """

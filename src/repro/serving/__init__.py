@@ -1,14 +1,14 @@
-"""Serving layer: bounded queue, bucketed dynamic batching, load gen.
+"""Serving layer: bucketed dynamic batching, load gen.
 
 The pipeline (the ROADMAP's traffic-scaling track)::
 
-    Request --> RequestQueue --> DynamicBatcher --> EngineWorker pool
-    (admit / reject)   (length buckets aligned      (Engine.run_batch,
-                        to the OTF crossover)        cost-model service)
+    Request --> DynamicBatcher ------------------> EngineWorker pool
+    (admit /    (one FIFO per length bucket;       (Engine.run_batch,
+     reject)     buckets aligned to the crossover)  cost-model service)
 
-:class:`~repro.serving.core.ServingCore` owns the queue, the batcher and
-the recorders (metrics, event log) and records every transition; the
-Chrome trace is derived from the event log after the run.
+:class:`~repro.serving.core.ServingCore` owns the batcher (the one
+pending store) and the recorders (metrics, event log) and records every
+transition; the Chrome trace is derived from the event log after the run.
 Three backends drive it, each keeping only its dispatch model:
 
 - :class:`~repro.serving.scheduler.Scheduler` — deterministic virtual-time
@@ -21,7 +21,7 @@ Three backends drive it, each keeping only its dispatch model:
   lowest free replica slot, per-tenant quotas.
 """
 
-from repro.serving.batcher import Batch, DynamicBatcher
+from repro.serving.batcher import Batch, DynamicBatcher, QueueFullError
 from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
 from repro.serving.loadgen import (
     LoadgenResult,
@@ -36,7 +36,6 @@ from repro.serving.pool import (
     PoolServer,
     QuotaExceededError,
 )
-from repro.serving.queue import QueueClosedError, QueueFullError, RequestQueue
 from repro.serving.request import Request, Response, ResponseStatus
 from repro.serving.scheduler import EngineWorker, Scheduler
 from repro.serving.server import AsyncServer
@@ -52,11 +51,9 @@ __all__ = [
     "LoadgenSpec",
     "MetricsRegistry",
     "PoolServer",
-    "QueueClosedError",
     "QueueFullError",
     "QuotaExceededError",
     "Request",
-    "RequestQueue",
     "Response",
     "ResponseStatus",
     "Scheduler",

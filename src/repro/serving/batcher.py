@@ -1,20 +1,33 @@
-"""Length-bucketed dynamic batching policy.
+"""Length-bucketed dynamic batching: the serving layer's one pending store.
 
-The batcher is a *policy* over the request queue, not a second store: given
-the queue's pending set and the current clock it decides whether any bucket
-is ready to dispatch and pops that bucket's requests. A bucket is ready when
-it holds a full batch, or when its oldest request has waited ``max_wait_us``
-(the classic dynamic-batching latency/throughput dial), or when the driver
-is flushing (shutdown / no more arrivals possible).
+Requests wait in the batcher from admission until a batch takes them, one
+FIFO per length bucket. ``put`` applies admission control: at
+``max_depth`` pending requests it raises :class:`QueueFullError`
+(backpressure), in every backend. A bucket is ready when it holds a full
+batch, when its oldest request has waited ``max_wait_us`` (the classic
+dynamic-batching latency/throughput dial), or when the driver is flushing
+(shutdown / no more arrivals possible).
+
+Invariant: every driver admits in arrival order — the live servers stamp
+the arrival under their lock at admission, the scheduler admits from its
+``(arrival, rid)`` heap as time advances. So each FIFO is in arrival
+order, ties in admission order, and readiness and dispatch read only
+bucket heads. Not thread-safe: the live servers call it under their
+condition.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.serving.bucketing import BucketPolicy
-from repro.serving.queue import RequestQueue
 from repro.serving.request import Request
+
+
+class QueueFullError(RuntimeError):
+    """Raised by ``put`` when admission control turns a request away."""
 
 
 @dataclass
@@ -33,54 +46,51 @@ class Batch:
 
 @dataclass
 class DynamicBatcher:
-    """Forms same-bucket batches from a :class:`RequestQueue`."""
+    """Pending requests in per-bucket FIFOs; forms same-bucket batches."""
 
     policy: BucketPolicy
     max_batch: int = 8
     max_wait_us: float = 2_000.0
-    _next_batch_id: int = field(default=0, repr=False)
+    max_depth: int | None = None  # None: admission never refuses
+    depth: int = field(default=0, init=False)  # pending, all buckets
+    _next_batch_id: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise ValueError(f"max_batch must be positive: {self.max_batch}")
         if self.max_wait_us < 0:
             raise ValueError(f"max_wait_us must be >= 0: {self.max_wait_us}")
+        if self.max_depth is not None and self.max_depth <= 0:
+            raise ValueError(f"max_depth must be positive: {self.max_depth}")
+        #: bucket -> ``(admission seq, request)``, oldest first.
+        self._pending: dict[int, deque[tuple[int, Request]]] = {
+            bucket: deque() for bucket in range(self.policy.num_buckets)}
+        self._admitted = itertools.count()
 
-    def bucket_of(self, req: Request) -> int:
-        """The policy bucket of a request."""
-        return self.policy.bucket_of(req.seq_len)
+    def put(self, req: Request) -> None:
+        """Admit a request; raises :class:`QueueFullError` at ``max_depth``."""
+        bucket = self.policy.bucket_of(req.seq_len)
+        if self.max_depth is not None and self.depth >= self.max_depth:
+            raise QueueFullError(f"queue at max depth {self.max_depth}")
+        self._pending[bucket].append((next(self._admitted), req))
+        self.depth += 1
 
-    # ---- readiness --------------------------------------------------------
+    def _heads(self) -> list[tuple[float, int, int]]:
+        """``(oldest arrival, bucket, count)`` of each non-empty bucket."""
+        return [(fifo[0][1].arrival_us, bucket, len(fifo))
+                for bucket, fifo in self._pending.items() if fifo]
 
-    def _bucket_state(self, queue: RequestQueue
-                      ) -> list[tuple[int, int, float]]:
-        """(bucket, count, oldest_arrival) for each non-empty bucket."""
-        counts = queue.counts(self.bucket_of)
-        out = []
-        for bucket in sorted(counts):
-            oldest = queue.oldest_arrival(
-                lambda r, b=bucket: self.bucket_of(r) == b)
-            out.append((bucket, counts[bucket], oldest))
-        return out
-
-    def next_deadline_us(self, queue: RequestQueue) -> float | None:
+    def next_deadline_us(self) -> float | None:
         """Earliest time any pending bucket becomes overdue (None if empty).
 
         Buckets already holding a full batch are ready immediately: their
         deadline is their oldest arrival.
         """
-        deadlines = []
-        for _, count, oldest in self._bucket_state(queue):
-            if count >= self.max_batch:
-                deadlines.append(oldest)
-            else:
-                deadlines.append(oldest + self.max_wait_us)
-        return min(deadlines) if deadlines else None
+        return min((oldest if count >= self.max_batch
+                    else oldest + self.max_wait_us
+                    for oldest, _, count in self._heads()), default=None)
 
-    # ---- dispatch ---------------------------------------------------------
-
-    def pop_batch(self, queue: RequestQueue, now_us: float,
-                  flush: bool = False) -> Batch | None:
+    def pop_batch(self, now_us: float, flush: bool = False) -> Batch | None:
         """Pop the most urgent ready bucket as a batch, or None.
 
         Readiness: full batch, oldest member overdue, or ``flush``. Among
@@ -88,18 +98,25 @@ class DynamicBatcher:
         first (ties broken by bucket index), which keeps the simulation and
         the threaded server deterministic for a fixed pending set.
         """
-        best: tuple[float, int] | None = None
-        for bucket, count, oldest in self._bucket_state(queue):
-            ready = (flush or count >= self.max_batch
-                     or now_us - oldest >= self.max_wait_us)
-            if ready and (best is None or (oldest, bucket) < best):
-                best = (oldest, bucket)
-        if best is None:
+        ready = [(oldest, bucket) for oldest, bucket, count in self._heads()
+                 if flush or count >= self.max_batch
+                 or now_us - oldest >= self.max_wait_us]
+        if not ready:
             return None
-        bucket = best[1]
-        reqs = queue.pop_where(
-            lambda r: self.bucket_of(r) == bucket, self.max_batch)
+        bucket = min(ready)[1]
+        fifo = self._pending[bucket]
+        reqs = [fifo.popleft()[1]
+                for _ in range(min(self.max_batch, len(fifo)))]
+        self.depth -= len(reqs)
         batch = Batch(batch_id=self._next_batch_id, bucket=bucket,
                       requests=reqs)
         self._next_batch_id += 1
         return batch
+
+    def drain(self) -> list[Request]:
+        """Remove and return everything still pending, in admission order."""
+        entries = sorted(itertools.chain(*self._pending.values()))
+        for fifo in self._pending.values():
+            fifo.clear()
+        self.depth = 0
+        return [req for _, req in entries]

@@ -1,8 +1,8 @@
 """The serving core: one owner for every request and batch transition.
 
-:class:`ServingCore` holds the bounded queue, the dynamic batcher, the
-metrics registry and the event log of one serving run, and is the only
-place that records a state change:
+:class:`ServingCore` holds the dynamic batcher (the one pending store,
+bounded by its ``max_depth``), the metrics registry and the event log of
+one serving run, and is the only place that records a state change:
 
     admit ──> enqueue ──> batch_formed ──> dispatch ──> complete
       └─> reject (queue_full)                       └─> reject (shed, ...)
@@ -31,9 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs.events import EventLog
-from repro.serving.batcher import Batch, DynamicBatcher
+from repro.serving.batcher import Batch, DynamicBatcher, QueueFullError
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.queue import QueueFullError, RequestQueue
 from repro.serving.request import Request, Response, ResponseStatus
 
 
@@ -46,12 +45,11 @@ def _reject_fields(req: Request, detail: str) -> dict[str, object]:
 
 
 class ServingCore:
-    """Queue, batcher and recorders of one run, and every transition."""
+    """Batcher and recorders of one run, and every transition."""
 
-    def __init__(self, batcher: DynamicBatcher, max_depth: int,
-                 metrics: MetricsRegistry, events: EventLog) -> None:
+    def __init__(self, batcher: DynamicBatcher, metrics: MetricsRegistry,
+                 events: EventLog) -> None:
         self.batcher = batcher
-        self.queue = RequestQueue(max_depth=max_depth)
         self.metrics = metrics
         self.events = events
 
@@ -74,7 +72,7 @@ class ServingCore:
         self.emit("admit", req.arrival_us, rid=req.rid, seq_len=req.seq_len,
                   tenant=req.client, deadline_us=req.deadline_us)
         try:
-            self.queue.put(req)
+            self.batcher.put(req)
         except QueueFullError:
             self.emit("reject", req.arrival_us,
                       **_reject_fields(req, "queue_full"))

@@ -4,7 +4,7 @@ Two traffic shapes, both seeded:
 
 - **open loop** — arrivals follow a Poisson process (exponential
   inter-arrival times at ``--rate`` requests/s of virtual time),
-  independent of completions; the queue absorbs bursts and admission
+  independent of completions; the batcher absorbs bursts and admission
   control sheds load past ``max_depth``.
 - **closed loop** — ``--clients`` concurrent clients each keep exactly one
   request outstanding, issuing the next upon completion (think time 0).
@@ -43,10 +43,9 @@ from repro.runtime import (
     PyTorchLikeEngine,
     TensorRTLikeEngine,
 )
-from repro.serving.batcher import DynamicBatcher
+from repro.serving.batcher import DynamicBatcher, QueueFullError
 from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.queue import QueueFullError
 from repro.serving.request import Request, Response
 from repro.serving.scheduler import EngineWorker, Scheduler
 
@@ -284,11 +283,12 @@ def run_loadgen(spec: LoadgenSpec,
     policy = make_policy(spec.policy, crossover, max(payloads))
     slo = make_slo_policy(spec, engine, policy)
     batcher = DynamicBatcher(policy, max_batch=spec.max_batch,
-                             max_wait_us=spec.max_wait_us)
+                             max_wait_us=spec.max_wait_us,
+                             max_depth=spec.max_depth)
     workers = [EngineWorker(engine, payload_table=payloads)
                for _ in range(spec.workers)]
     sched = Scheduler(
-        workers=workers, batcher=batcher, max_depth=spec.max_depth,
+        workers=workers, batcher=batcher,
         events=events if events is not None else NULL_EVENT_LOG)
     if spec.mode == "closed":
         initial, follow_up = closed_loop_driver(spec, payloads, slo=slo)

@@ -1,8 +1,8 @@
 """Per-tenant admission control for the replica pool.
 
 :class:`AdmissionController` layers per-tenant QoS quotas on top of the
-bounded :class:`~repro.serving.queue.RequestQueue`: a tenant over its
-in-flight quota is rejected *before* it can occupy shared queue depth,
+depth bound of :class:`~repro.serving.batcher.DynamicBatcher`: a tenant
+over its in-flight quota is rejected *before* it can occupy shared depth,
 so one chatty client cannot starve the rest.
 
 Lock contract (etlint ET4xx): the controller owns one lock and every
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.serving.queue import QueueFullError
+from repro.serving.batcher import QueueFullError
 
 
 class QuotaExceededError(QueueFullError):
@@ -22,7 +22,7 @@ class QuotaExceededError(QueueFullError):
 
 
 class AdmissionController:
-    """Per-tenant in-flight quotas over the shared request queue."""
+    """Per-tenant in-flight quotas over the shared pending store."""
 
     def __init__(self, max_inflight_per_tenant: int | None = None) -> None:
         if max_inflight_per_tenant is not None \

@@ -236,10 +236,9 @@ class PoolServer(LiveServer):
 
     # ---- client API -------------------------------------------------------
 
-    def submit(self, x: np.ndarray, priority: int = 0,
-               client: int = 0) -> "Future[Response]":
+    def submit(self, x: np.ndarray, client: int = 0) -> "Future[Response]":
         """Enqueue one sequence; raises :class:`QueueFullError` when the
-        shared queue is at depth and :class:`QuotaExceededError` when the
+        batcher is at depth and :class:`QuotaExceededError` when the
         tenant is over its in-flight quota."""
         # super().submit checks the length again; checked here first so an
         # oversize request from a tenant at quota raises ValueError and
@@ -256,7 +255,7 @@ class PoolServer(LiveServer):
                                 seq_len=seq_len, tenant=client)
             raise
         try:
-            return super().submit(x, priority, client)
+            return super().submit(x, client)
         except BaseException:
             self._admission.release(client)
             raise
@@ -385,7 +384,7 @@ class PoolServer(LiveServer):
             if len(self._dead) == self.n_workers:
                 self._running = False
                 shed = [r for b in self._requeued for r in b.requests]
-                shed += self._core.queue.drain()
+                shed += self._core.batcher.drain()
                 self._requeued.clear()
             self._work.notify_all()
         self._reject(shed, "shed")

@@ -1,8 +1,8 @@
 """Request/response model for the serving layer.
 
 A :class:`Request` carries one ``(s, d_model)`` sequence through the system:
-admission (queue), staging (batcher), dispatch (scheduler/worker) and
-completion. All timestamps are microseconds on whichever clock the driver
+admission and staging (the batcher's per-bucket FIFO), dispatch
+(scheduler/worker) and completion. All timestamps are microseconds on whichever clock the driver
 uses — the deterministic scheduler runs a virtual cost-model clock, the
 thread-backed server stamps wall-clock arrivals but keeps service time in
 cost-model microseconds (see :mod:`repro.serving.server`).
@@ -36,7 +36,6 @@ class Request:
     rid: int
     x: np.ndarray  # (seq_len, d_model)
     arrival_us: float = 0.0
-    priority: int = 0  # higher dispatches first within a bucket
     client: int = 0  # issuing client (closed-loop bookkeeping)
     deadline_us: float | None = None  # absolute SLO deadline (driver clock)
 

@@ -1,8 +1,8 @@
 """Deterministic virtual-time scheduler over a pool of engine workers.
 
 The scheduler replays a stream of arrival-stamped requests on the cost
-model's clock: arrivals enter the queue (admission control may reject),
-the dynamic batcher forms same-bucket batches, and free workers execute
+model's clock: arrivals enter the dynamic batcher (admission control may
+reject), which forms same-bucket batches, and free workers execute
 them through :meth:`Engine.run_batch` — the batch's service time is the
 aggregated timeline's total. Everything is a pure function of the request
 stream and the configuration, so a seeded load generator yields an
@@ -19,10 +19,9 @@ import numpy as np
 
 from repro.obs.events import NULL_EVENT_LOG, EventLog
 from repro.runtime.engine import Engine, EngineResult
-from repro.serving.batcher import Batch, DynamicBatcher
+from repro.serving.batcher import Batch, DynamicBatcher, QueueFullError
 from repro.serving.core import ServingCore
 from repro.serving.metrics import MetricsRegistry
-from repro.serving.queue import QueueFullError
 from repro.serving.request import Request, Response
 
 
@@ -73,19 +72,16 @@ class EngineWorker:
 
 @dataclass
 class Scheduler:
-    """Event-driven simulation of queue → batcher → worker pool."""
+    """Event-driven simulation of batcher → worker pool."""
 
     workers: Sequence[EngineWorker]
     batcher: DynamicBatcher
-    max_depth: int = 64
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     events: EventLog = field(default_factory=lambda: NULL_EVENT_LOG)
 
     def __post_init__(self) -> None:
         if not self.workers:
             raise ValueError("need at least one worker")
-        if self.max_depth <= 0:
-            raise ValueError(f"max_depth must be positive: {self.max_depth}")
 
     def run(
         self,
@@ -98,12 +94,9 @@ class Scheduler:
         terminal response, it may return the issuing client's next request
         (with a future ``arrival_us``), which joins the stream.
         """
-        core = ServingCore(self.batcher, self.max_depth, self.metrics,
-                           self.events)
-        queue = core.queue
-        pending: list[tuple[float, int, Request]] = [
-            (r.arrival_us, r.rid, r) for r in arrivals
-        ]
+        core = ServingCore(self.batcher, self.metrics, self.events)
+        batcher = core.batcher
+        pending = [(r.arrival_us, r.rid, r) for r in arrivals]
         heapq.heapify(pending)
         free_us = [0.0] * len(self.workers)
         responses: list[Response] = []
@@ -117,7 +110,7 @@ class Scheduler:
                                    (follow.arrival_us, follow.rid, follow))
 
         now = 0.0
-        while pending or queue.depth:
+        while pending or batcher.depth:
             while pending and pending[0][0] <= now:
                 _, _, req = heapq.heappop(pending)
                 try:
@@ -127,10 +120,10 @@ class Scheduler:
             # Workers take batches in index order; batch choice itself is
             # deterministic (oldest-first), so the whole step is replayable.
             for w_idx, worker in enumerate(self.workers):
-                if free_us[w_idx] > now or queue.depth == 0:
+                if free_us[w_idx] > now or batcher.depth == 0:
                     continue
                 # no future arrivals can join a bucket: flush
-                batch = self.batcher.pop_batch(queue, now, flush=not pending)
+                batch = batcher.pop_batch(now, flush=not pending)
                 if batch is None:
                     continue
                 results, service_us = worker.process(batch)
@@ -145,14 +138,14 @@ class Scheduler:
             candidates = []
             if pending:
                 candidates.append(pending[0][0])
-            if queue.depth:
-                deadline = self.batcher.next_deadline_us(queue)
+            if batcher.depth:
+                deadline = batcher.next_deadline_us()
                 if deadline is not None:
                     candidates.append(deadline)
                 candidates.extend(f for f in free_us if f > now)
             future = [t for t in candidates if t > now]
             if not future:
-                if queue.depth:  # overdue work, worker free: loop again now
+                if batcher.depth:  # overdue work, worker free: loop again now
                     continue
                 break
             now = min(future)

@@ -63,8 +63,8 @@ class LiveServer:
         self.slo = slo
         self._core = ServingCore(
             DynamicBatcher(policy, max_batch=max_batch,
-                           max_wait_us=max_wait_us),
-            max_depth, MetricsRegistry(), events)
+                           max_wait_us=max_wait_us, max_depth=max_depth),
+            MetricsRegistry(), events)
         self._work = threading.Condition()
         self._futures: dict[int, Future] = {}
         self._slots = slots
@@ -139,7 +139,7 @@ class LiveServer:
             dropped: list[Request] = []
             if not drain:
                 dropped = [r for b in self._requeued for r in b.requests]
-                dropped += self._core.queue.drain()
+                dropped += self._core.batcher.drain()
                 self._requeued.clear()
             threads = self._threads
             self._threads = []
@@ -147,8 +147,6 @@ class LiveServer:
         for t in threads:  # joining must not hold the lock slots need
             t.join()
         self._shutdown()
-        with self._work:
-            self._core.queue.close()
         self._reject(dropped, "shed")
 
     # ---- client API -------------------------------------------------------
@@ -156,8 +154,7 @@ class LiveServer:
     def _now_us(self) -> float:
         return (time.monotonic() - self._t0) * 1e6  # etlint: disable=ET301 timing boundary
 
-    def submit(self, x: np.ndarray, priority: int = 0,
-               client: int = 0) -> "Future[Response]":
+    def submit(self, x: np.ndarray, client: int = 0) -> "Future[Response]":
         """Enqueue one sequence; raises :class:`QueueFullError` when full.
 
         The returned future resolves to the request's :class:`Response`
@@ -176,8 +173,8 @@ class LiveServer:
             deadline = (None if self.slo is None else
                         self.slo.deadline_us(seq_len, arrival))
             self._core.admit(Request(
-                rid=rid, x=x, arrival_us=arrival, priority=priority,
-                client=client, deadline_us=deadline))
+                rid=rid, x=x, arrival_us=arrival, client=client,
+                deadline_us=deadline))
             self._futures[rid] = fut
             self._work.notify()
         return fut
@@ -185,7 +182,7 @@ class LiveServer:
     @property
     def depth(self) -> int:
         """Current queue depth."""
-        return self._core.queue.depth
+        return self._core.batcher.depth
 
     def metrics_text(self) -> str:
         """The live metrics as one Prometheus exposition page (scrapable)."""
@@ -240,15 +237,14 @@ class LiveServer:
                     return self._requeued.popleft()
                 now = self._now_us()
                 batch = self._core.batcher.pop_batch(
-                    self._core.queue, now, flush=not self._running)
+                    now, flush=not self._running)
                 if batch is not None:
                     self._core.batch_formed(batch, now)
                     self._executing += 1
                     return batch
                 if not self._running and not self._executing:
                     return None
-                deadline = self._core.batcher.next_deadline_us(
-                    self._core.queue)
+                deadline = self._core.batcher.next_deadline_us()
                 self._work.wait(None if deadline is None else
                                 max(1e-4, (deadline - now) / 1e6))
 

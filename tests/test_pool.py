@@ -589,3 +589,26 @@ def test_no_drain_stop_sheds_the_thread_servers_queue():
             if e.kind == "reject"] == ["shed"] * 5
     folded = MetricsRegistry.from_events(events)
     assert prometheus_text(folded) == prometheus_text(m)
+
+
+@pytest.mark.parametrize("backend", ["threads", "pool"])
+def test_submit_after_stop_raises_and_records_nothing(backend):
+    """``stop`` closes admission: a later ``submit`` raises
+    ``RuntimeError`` before the core sees the request."""
+    spec = _spec(num_requests=4)
+    events = EventLog()
+    payloads = build_payloads(spec)
+    if backend == "threads":
+        server = _thread_server(spec, events)
+    else:
+        server, payloads, _, _ = build_pool_server(spec, 1, events=events)
+    with server:
+        futures = [server.submit(x) for x in request_mix(spec, payloads)]
+    assert all(f.result(timeout=60.0).ok for f in futures)
+    logged = len(events)
+    with pytest.raises(RuntimeError, match="not running"):
+        server.submit(payloads[min(payloads)])
+    assert len(events) == logged
+    assert server.metrics.in_flight == 0
+    if backend == "pool":  # the refused request holds no tenant slot
+        assert server.pool_snapshot()["tenants_inflight"] == {}

@@ -22,7 +22,6 @@ from repro.serving import (
     LoadgenSpec,
     QueueFullError,
     Request,
-    RequestQueue,
     ResponseStatus,
     Scheduler,
     make_policy,
@@ -31,9 +30,15 @@ from repro.serving import (
 )
 
 
-def _req(rid, seq_len=16, arrival=0.0, priority=0, d_model=8):
+def _req(rid, seq_len=16, arrival=0.0, d_model=8):
     return Request(rid=rid, x=np.zeros((seq_len, d_model)),
-                   arrival_us=arrival, priority=priority)
+                   arrival_us=arrival)
+
+
+def _batcher(max_batch=2, max_wait_us=100.0, max_depth=None):
+    pol = BucketPolicy(name="t", edges=(32, 64))
+    return DynamicBatcher(pol, max_batch=max_batch, max_wait_us=max_wait_us,
+                          max_depth=max_depth)
 
 
 @pytest.fixture
@@ -48,42 +53,50 @@ def engine(serve_cfg, rng):
 
 
 class TestRequestQueue:
-    def test_fifo_within_priority(self):
-        q = RequestQueue()
-        for i in range(5):
-            q.put(_req(i, arrival=float(i)))
-        assert [q.pop().rid for _ in range(5)] == [0, 1, 2, 3, 4]
+    """The batcher as the pending store: admission, FIFO order, depth."""
 
-    def test_priority_beats_arrival(self):
-        q = RequestQueue()
-        q.put(_req(0, arrival=0.0, priority=0))
-        q.put(_req(1, arrival=1.0, priority=5))
-        q.put(_req(2, arrival=2.0, priority=5))
-        assert [q.pop().rid for _ in range(3)] == [1, 2, 0]
+    def test_fifo_within_bucket(self):
+        b = _batcher(max_batch=8)
+        for i in range(5):
+            b.put(_req(i, arrival=float(i)))
+        assert [r.rid for r in b.pop_batch(now_us=1e3).requests] == \
+            [0, 1, 2, 3, 4]
+
+    def test_equal_arrivals_pop_in_admission_order(self):
+        b = _batcher(max_batch=8)
+        for rid in (3, 1, 4, 0, 2):
+            b.put(_req(rid, arrival=5.0))
+        batch = b.pop_batch(now_us=5.0, flush=True)
+        assert [r.rid for r in batch.requests] == [3, 1, 4, 0, 2]
 
     def test_backpressure_rejects_at_max_depth(self):
-        q = RequestQueue(max_depth=2)
-        q.put(_req(0))
-        q.put(_req(1))
+        b = _batcher(max_batch=1, max_depth=2)
+        b.put(_req(0))
+        b.put(_req(1))
         with pytest.raises(QueueFullError):
-            q.put(_req(2))
-        q.pop()
-        q.put(_req(2))  # depth freed -> admitted again
-        assert q.depth == 2
+            b.put(_req(2))
+        assert b.depth == 2  # the refused request left no trace
+        b.pop_batch(now_us=0.0)
+        b.put(_req(2))  # depth freed -> admitted again
+        assert b.depth == 2
 
-    def test_pop_where_respects_order_and_limit(self):
-        q = RequestQueue()
+    def test_pop_batch_respects_order_and_limit(self):
+        b = _batcher()
         for i, s in enumerate([16, 48, 16, 48, 16]):
-            q.put(_req(i, seq_len=s, arrival=float(i)))
-        short = q.pop_where(lambda r: r.seq_len == 16, limit=2)
-        assert [r.rid for r in short] == [0, 2]
-        assert q.depth == 3
+            b.put(_req(i, seq_len=s, arrival=float(i)))
+        short = b.pop_batch(now_us=10.0)
+        assert [r.rid for r in short.requests] == [0, 2]
+        assert b.depth == 3
 
-    def test_closed_queue_rejects(self):
-        q = RequestQueue()
-        q.close()
-        with pytest.raises(Exception):
-            q.put(_req(0))
+    def test_drain_returns_admission_order_across_buckets(self):
+        b = _batcher()
+        for rid, s, t in [(0, 48, 0.0), (1, 16, 0.0), (2, 48, 1.0),
+                          (3, 16, 1.0), (4, 16, 1.0)]:
+            b.put(_req(rid, seq_len=s, arrival=t))
+        assert [r.rid for r in b.drain()] == [0, 1, 2, 3, 4]
+        assert b.depth == 0
+        assert b.pop_batch(now_us=10.0, flush=True) is None
+        assert b.next_deadline_us() is None
 
 
 class TestBucketPolicy:
@@ -133,33 +146,29 @@ class TestBucketPolicy:
 
 
 class TestDynamicBatcher:
-    def _batcher(self, max_batch=2, max_wait_us=100.0):
-        pol = BucketPolicy(name="t", edges=(32, 64))
-        return DynamicBatcher(pol, max_batch=max_batch,
-                              max_wait_us=max_wait_us)
-
     def test_full_bucket_dispatches_immediately(self):
-        b, q = self._batcher(), RequestQueue()
-        q.put(_req(0, seq_len=16, arrival=0.0))
-        q.put(_req(1, seq_len=16, arrival=1.0))
-        q.put(_req(2, seq_len=48, arrival=2.0))
-        batch = b.pop_batch(q, now_us=2.0)
+        b = _batcher()
+        b.put(_req(0, seq_len=16, arrival=0.0))
+        b.put(_req(1, seq_len=16, arrival=1.0))
+        b.put(_req(2, seq_len=48, arrival=2.0))
+        assert b.next_deadline_us() == 0.0  # the full bucket's head
+        batch = b.pop_batch(now_us=2.0)
         assert [r.rid for r in batch.requests] == [0, 1]
         assert batch.bucket == 0
 
     def test_partial_bucket_waits_until_deadline(self):
-        b, q = self._batcher(max_wait_us=100.0), RequestQueue()
-        q.put(_req(0, seq_len=48, arrival=0.0))
-        assert b.pop_batch(q, now_us=50.0) is None
-        assert b.next_deadline_us(q) == 100.0
-        batch = b.pop_batch(q, now_us=100.0)
+        b = _batcher(max_wait_us=100.0)
+        b.put(_req(0, seq_len=48, arrival=0.0))
+        assert b.pop_batch(now_us=50.0) is None
+        assert b.next_deadline_us() == 100.0
+        batch = b.pop_batch(now_us=100.0)
         assert batch is not None and batch.size == 1
 
     def test_batches_never_mix_buckets(self):
-        b, q = self._batcher(max_batch=8), RequestQueue()
+        b = _batcher(max_batch=8)
         for i, s in enumerate([16, 48, 20, 60, 30]):
-            q.put(_req(i, seq_len=s, arrival=float(i)))
-        batch = b.pop_batch(q, now_us=1e6)
+            b.put(_req(i, seq_len=s, arrival=float(i)))
+        batch = b.pop_batch(now_us=1e6)
         assert {b.policy.bucket_of(r.seq_len) for r in batch.requests} \
             == {batch.bucket}
 
