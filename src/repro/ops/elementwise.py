@@ -16,13 +16,14 @@ from repro.ops.context import ExecContext
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """tanh-approximated GELU (the BERT convention).
 
     Computes ``0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`` with in-place
     ufuncs — one scratch array, and ``x·x·x`` instead of ``x**3`` (NumPy
     routes float ``**3`` through libm ``pow``, which is several times
-    slower for the same cubic).
+    slower for the same cubic). ``out=x`` overwrites ``x`` with the same
+    bits.
     """
     inner = x * x
     inner *= x
@@ -31,14 +32,14 @@ def gelu(x: np.ndarray) -> np.ndarray:
     inner *= _SQRT_2_OVER_PI
     np.tanh(inner, out=inner)
     inner += 1.0
-    inner *= x
-    inner *= 0.5
-    return inner
+    out = np.multiply(inner, x, out=inner if out is None else out)
+    out *= 0.5
+    return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise max(x, 0)."""
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=out)
 
 
 def _pointwise_cost(

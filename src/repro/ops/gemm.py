@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.gpu.kernel import KernelCost, MemPattern
 from repro.ops.context import ExecContext
+from repro.ops.epilogue import epilogue, epilogue_cost
 
 #: FLOP volume at which the custom attention kernels reach half their
 #: asymptotic efficiency (used by the OTF/partial cost models).
@@ -122,39 +123,6 @@ def gemm(
     return a @ b
 
 
-def gemm_epilogue(
-    y: np.ndarray,
-    bias: np.ndarray | None = None,
-    act: str | None = None,
-    residual: np.ndarray | None = None,
-    ln_gamma: np.ndarray | None = None,
-    ln_beta: np.ndarray | None = None,
-    ln_eps: float = 1e-5,
-) -> np.ndarray:
-    """The fused-GEMM epilogue numerics: bias, activation, residual, LN.
-
-    :func:`gemm_bias_act` applies this to its product after launching the
-    kernel's cost.
-    """
-    from repro.ops.elementwise import gelu, relu  # local import to avoid cycle
-
-    if bias is not None:
-        y = y + bias
-    if act == "gelu":
-        y = gelu(y)
-    elif act == "relu":
-        y = relu(y)
-    elif act is not None:
-        raise ValueError(f"unknown activation: {act!r}")
-    if residual is not None:
-        y = y + residual
-    if ln_gamma is not None:
-        mu = y.mean(axis=-1, keepdims=True)
-        var = y.var(axis=-1, keepdims=True)
-        y = (y - mu) / np.sqrt(var + ln_eps) * ln_gamma + ln_beta
-    return y
-
-
 def gemm_bias_act(
     ctx: ExecContext,
     a: np.ndarray,
@@ -175,38 +143,25 @@ def gemm_bias_act(
     E.T. goes further and folds the residual add and layernorm into the GEMM
     epilogue as well. All epilogue math happens in registers, so the fused
     kernel only adds the bias/residual loads and the epilogue FLOPs — no
-    extra global round trip for the GEMM result.
+    extra global round trip for the GEMM result. The host runs
+    :func:`~repro.ops.epilogue.epilogue` in place on L2-sized row blocks
+    of the product; an unknown ``act`` raises before the GEMM runs.
     """
     if a.shape[-1] != w_t.shape[0]:
         raise ValueError(f"gemm shape mismatch: {a.shape} @ {w_t.shape}")
     m = int(np.prod(a.shape[:-1]))
     k = a.shape[-1]
     n = w_t.shape[1]
-    b = ctx.bytes_per_elem
-
-    extra_loaded = 0.0
-    extra_flops = 0.0
-    if bias is not None:
-        extra_loaded += n * b
-        extra_flops += m * n
-    if act is not None:
-        extra_flops += 8.0 * m * n
-    if residual is not None:
-        extra_loaded += m * n * b
-        extra_flops += m * n
-    if ln_gamma is not None:
-        extra_loaded += 2.0 * n * b
-        extra_flops += 8.0 * m * n
-
+    ln = None if ln_gamma is None else (ln_gamma, ln_beta)
+    extra_flops, extra_loaded = epilogue_cost(ctx.bytes_per_elem, m, n, bias,
+                                              act, residual, ln)
     ctx.tl.launch(
         _gemm_cost(
             ctx, m, n, k, algo, name, tag,
             extra_loaded=extra_loaded, extra_flops=extra_flops,
         )
     )
-
-    return gemm_epilogue(a @ w_t, bias, act, residual, ln_gamma, ln_beta,
-                         ln_eps)
+    return epilogue(a @ w_t, bias, act, residual, ln, ln_eps)
 
 
 def batched_gemm(

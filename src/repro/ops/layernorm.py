@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.gpu.kernel import KernelCost
 from repro.ops.context import ExecContext
+from repro.ops.epilogue import epilogue
 
 
 def layer_norm(
@@ -53,5 +54,6 @@ def layer_norm_op(
             tag=tag or "layernorm",
         )
     )
-    y = x + residual if residual is not None else x
-    return layer_norm(y, gamma, beta, eps)
+    # The epilogue overwrites its input: never the caller's ``x``.
+    y = x + residual if residual is not None else x.copy()
+    return epilogue(y, ln=(gamma, beta), eps=eps)

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.gpu.kernel import KernelCost, MemPattern
 from repro.ops.context import ExecContext
+from repro.ops.epilogue import epilogue, epilogue_cost
 from repro.ops.gemm import GemmAlgo, gemm_efficiency
 from repro.tensor.sparse import CondensedColPruned, CondensedRowPruned, TileBCSR
 
@@ -43,65 +44,6 @@ IRREGULAR_EFF = 0.012
 #: irregular latency shrinks far slower than its pruning ratio (Table 1:
 #: 17.4 ms at 90 % vs 78.1 ms at 60 % — nothing like a 4× nnz gap suggests).
 IRREGULAR_DECODE_OPS_PER_SLOT = 0.2
-
-
-def _epilogue(
-    ctx: ExecContext,
-    m: int,
-    n: int,
-    bias: np.ndarray | None,
-    act: str | None,
-    residual: np.ndarray | None = None,
-    ln: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, float]:
-    """Extra (flops, bytes_loaded) for a fused epilogue.
-
-    Mirrors :func:`repro.ops.gemm.gemm_bias_act`: bias add, activation,
-    residual add and layernorm all ride in registers on the GEMM epilogue.
-    """
-    extra_flops = 0.0
-    extra_loaded = 0.0
-    b = ctx.bytes_per_elem
-    if bias is not None:
-        extra_flops += m * n
-        extra_loaded += n * b
-    if act is not None:
-        extra_flops += 8.0 * m * n
-    if residual is not None:
-        extra_flops += m * n
-        extra_loaded += m * n * b
-    if ln is not None:
-        extra_flops += 8.0 * m * n
-        extra_loaded += 2.0 * n * b
-    return extra_flops, extra_loaded
-
-
-def _apply_epilogue(
-    y: np.ndarray,
-    bias: np.ndarray | None,
-    act: str | None,
-    residual: np.ndarray | None = None,
-    ln: tuple[np.ndarray, np.ndarray] | None = None,
-    ln_eps: float = 1e-5,
-) -> np.ndarray:
-    from repro.ops.elementwise import gelu, relu  # local import avoids cycle
-
-    if bias is not None:
-        y = y + bias
-    if act == "gelu":
-        y = gelu(y)
-    elif act == "relu":
-        y = relu(y)
-    elif act is not None:
-        raise ValueError(f"unknown activation {act!r}")
-    if residual is not None:
-        y = y + residual
-    if ln is not None:
-        gamma, beta = ln
-        mu = y.mean(axis=-1, keepdims=True)
-        var = y.var(axis=-1, keepdims=True)
-        y = (y - mu) / np.sqrt(var + ln_eps) * gamma + beta
-    return y
 
 
 def tile_gemm(
@@ -123,7 +65,8 @@ def tile_gemm(
     column-sparse Z coming out of a row-pruned V): loads of X and the FLOP
     count shrink proportionally — the attention-aware design's downstream
     benefit (Section 5.3.3). ``residual``/``ln`` fuse the add + layernorm
-    following the projection into the epilogue.
+    following the projection into the epilogue, run in place on L2-sized
+    row blocks of the product (:func:`~repro.ops.epilogue.epilogue`).
     """
     m = int(np.prod(x.shape[:-1]))
     n, k = w.shape
@@ -140,12 +83,11 @@ def tile_gemm(
     eff_flops = 2.0 * m * kept * r * c * in_frac
     # Density of surviving tiles decides how much of X must stream in: a
     # tile-column participates only if some tile in it survived.
-    active_cols = int(np.asarray(w.bitmap).any(axis=0).sum())
-    x_bytes = m * active_cols * c * b * in_frac
+    x_bytes = m * w.active_cols * c * b * in_frac
     meta_bytes = w.row_ptr.nbytes + w.col_idx.nbytes
     dense_eff = gemm_efficiency(m, n, max(k * kept // max(w.bitmap.size, 1), c),
                                 algo, ctx.tensor_core)
-    ep_flops, ep_loaded = _epilogue(ctx, m, n, bias, act, residual, ln)
+    ep_flops, ep_loaded = epilogue_cost(b, m, n, bias, act, residual, ln)
     ctx.tl.launch(
         KernelCost(
             name=name,
@@ -159,7 +101,7 @@ def tile_gemm(
             tag=tag or name,
         )
     )
-    return _apply_epilogue(w.matmul(x), bias, act, residual, ln)
+    return epilogue(w.matmul(x), bias, act, residual, ln)
 
 
 def col_pruned_gemm(
@@ -186,8 +128,8 @@ def col_pruned_gemm(
     k_kept = w.kept_cols.size
     n = w.out_features
     b = ctx.bytes_per_elem
+    ep_flops, ep_loaded = epilogue_cost(b, m, n, bias, act, residual, ln)
     xa = w.gather_input(x)
-    ep_flops, ep_loaded = _epilogue(ctx, m, n, bias, act, residual, ln)
     ctx.tl.launch(
         KernelCost(
             name=name,
@@ -202,7 +144,7 @@ def col_pruned_gemm(
             tag=tag or name,
         )
     )
-    return _apply_epilogue(xa @ w.weight.T, bias, act, residual, ln)
+    return epilogue(xa @ w.weight.T, bias, act, residual, ln)
 
 
 def row_pruned_gemm(
@@ -233,7 +175,7 @@ def row_pruned_gemm(
     k = x.shape[-1]
     n_kept = w.kept_rows.size
     b = ctx.bytes_per_elem
-    ep_flops, ep_loaded = _epilogue(ctx, m, max(n_kept, 1), bias, act)
+    ep_flops, ep_loaded = epilogue_cost(b, m, max(n_kept, 1), bias, act)
     ctx.tl.launch(
         KernelCost(
             name=f"{name}:gemm",
@@ -247,29 +189,24 @@ def row_pruned_gemm(
             tag=tag or name,
         )
     )
-    y_cond = x @ w.weight.T
-    if bias is not None:
-        y_cond = y_cond + np.asarray(bias)[..., w.kept_rows]
-    y_cond = _apply_epilogue(y_cond, None, act)
-    if masked_full and not scatter:
-        y = np.zeros((*x.shape[:-1], w.out_features), dtype=y_cond.dtype)
-        y[..., w.kept_rows] = y_cond
-        return y
-    if not scatter:
+    kept_bias = None if bias is None else np.asarray(bias)[..., w.kept_rows]
+    y_cond = epilogue(x @ w.weight.T, kept_bias, act)
+    if not scatter and not masked_full:
         return y_cond
-    ctx.tl.launch(
-        KernelCost(
-            name=f"{name}:scatter",
-            flops=0.0,
-            bytes_loaded=m * n_kept * b + w.kept_rows.nbytes,
-            bytes_stored=m * w.out_features * b,
-            ctas=max(1, m * w.out_features // 1024),
-            uses_tensor_core=False,
-            compute_eff=0.5,
-            mem_pattern=MemPattern.TILED,
-            tag=tag or name,
+    if scatter:
+        ctx.tl.launch(
+            KernelCost(
+                name=f"{name}:scatter",
+                flops=0.0,
+                bytes_loaded=m * n_kept * b + w.kept_rows.nbytes,
+                bytes_stored=m * w.out_features * b,
+                ctas=max(1, m * w.out_features // 1024),
+                uses_tensor_core=False,
+                compute_eff=0.5,
+                mem_pattern=MemPattern.TILED,
+                tag=tag or name,
+            )
         )
-    )
     y = np.zeros((*x.shape[:-1], w.out_features), dtype=y_cond.dtype)
     y[..., w.kept_rows] = y_cond
     return y
@@ -295,12 +232,12 @@ def irregular_gemm(
     if x.shape[-1] != k:
         raise ValueError(f"irregular_gemm shape mismatch: {x.shape} vs {w.shape}")
     b = ctx.bytes_per_elem
-    nnz = int((w.tiles != 0).sum())
+    nnz = w.nnz
     r, c = w.tile
     bitmap_bytes = w.num_tiles * (r * c / 8.0)  # one bit per tile slot
     index_bytes = w.row_ptr.nbytes + w.col_idx.nbytes + nnz * 4
     decode_flops = IRREGULAR_DECODE_OPS_PER_SLOT * m * w.num_tiles * r * c
-    ep_flops, ep_loaded = _epilogue(ctx, m, n, bias, act)
+    ep_flops, ep_loaded = epilogue_cost(b, m, n, bias, act)
     ctx.tl.launch(
         KernelCost(
             name=name,
@@ -314,4 +251,4 @@ def irregular_gemm(
             tag=tag or name,
         )
     )
-    return _apply_epilogue(w.matmul(x), bias, act)
+    return epilogue(w.matmul(x), bias, act)

@@ -181,6 +181,10 @@ class TileBCSR:
                 self._slabs.append((i, k0 > lo, cols,
                                     tiles_t[k0:k1].reshape(-1, r)))
         self._slab_rows = max((s[2].size for s in self._slabs), default=0)
+        #: Static cost metadata, computed once: nonzero elements in the
+        #: stored tiles, and tile-columns holding at least one stored tile.
+        self.nnz = int(np.count_nonzero(self.tiles))
+        self.active_cols = int(self.bitmap.any(axis=0).sum())
 
     @classmethod
     def from_dense(
@@ -221,8 +225,7 @@ class TileBCSR:
     def element_sparsity(self) -> float:
         """Fraction of *elements* that are zero (tiles may be internally sparse)."""
         total = self.shape[0] * self.shape[1]
-        nnz = int((self.tiles != 0).sum())
-        return 1.0 - nnz / total if total else 0.0
+        return 1.0 - self.nnz / total if total else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Reconstruct the dense matrix (zeros at absent tiles)."""
@@ -261,7 +264,8 @@ class TileBCSR:
         for i, accumulate, cols, w in self._slabs:
             # mode="clip" gathers straight into the workspace; "raise"
             # would gather into a buffer and copy (the indices are valid).
-            xg = np.take(xt, cols, axis=0, out=ws[:cols.size], mode="clip")
+            # The bound method skips np.take's Python wrapper.
+            xg = xt.take(cols, 0, ws[:cols.size], "clip")
             dst = out[:, i * r:(i + 1) * r]
             if accumulate:
                 dst += np.matmul(xg.T, w)

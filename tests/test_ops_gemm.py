@@ -101,8 +101,9 @@ class TestGemmBiasAct:
         np.testing.assert_allclose(y, np.maximum(x @ w_t, 0))
 
     def test_unknown_activation(self, ctx):
-        with pytest.raises(ValueError, match="activation"):
+        with pytest.raises(ValueError, match="unknown activation: 'swish'"):
             gemm_bias_act(ctx, np.ones((2, 2)), np.ones((2, 2)), act="swish")
+        assert len(ctx.tl) == 0  # rejected before the kernel is charged
 
     def test_epilogue_costs_extra(self, rng):
         x = rng.standard_normal((128, 768))

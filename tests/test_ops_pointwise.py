@@ -14,6 +14,7 @@ from repro.ops import (
     layer_norm,
     layer_norm_op,
     masked_softmax,
+    relu,
     relu_op,
     residual_add,
     scale,
@@ -22,6 +23,7 @@ from repro.ops import (
 )
 from repro.ops.context import fp16_ctx
 from repro.ops.elementwise import untranspose_heads
+from repro.ops.epilogue import EPILOGUE_BLOCK_BYTES, epilogue, epilogue_cost
 from repro.ops.softmax import MASK_NEG, softmax
 
 
@@ -136,3 +138,90 @@ class TestLayerNorm:
         y = layer_norm_op(ctx, x, g, b, residual=r)
         np.testing.assert_allclose(y, layer_norm(x + r, g, b), atol=1e-12)
         assert len(ctx.tl) == 1
+
+
+N = 96  # not a power of two, so dividing by N is not an exact scaling
+BLOCK = EPILOGUE_BLOCK_BYTES // (N * 8)  # float64 rows per epilogue block
+LEADING = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 5,),
+           (3, 7)]
+ACTS = {None: lambda y: y, "gelu": gelu, "relu": relu}
+
+
+def _chain(y, bias, act, residual, ln):
+    """The unfused reference chain, one whole-array pass per step."""
+    if bias is not None:
+        y = y + bias
+    y = ACTS[act](y)
+    if residual is not None:
+        y = y + residual
+    return y if ln is None else layer_norm(y, *ln)
+
+
+class TestEpilogue:
+    """The blocked in-place epilogue has the unfused chain's bits."""
+
+    @pytest.mark.parametrize("lead", LEADING, ids=str)
+    @pytest.mark.parametrize("act", sorted(ACTS, key=str))
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("with_ln", [False, True])
+    def test_matches_unfused_chain(self, rng, lead, act, with_bias,
+                                   with_residual, with_ln):
+        y = rng.standard_normal((*lead, N))
+        bias = rng.standard_normal(N) if with_bias else None
+        res = rng.standard_normal((*lead, N)) if with_residual else None
+        ln = ((rng.standard_normal(N), rng.standard_normal(N))
+              if with_ln else None)
+        ref = _chain(y, bias, act, res, ln)
+        operands = [v for v in (bias, res, *(ln or ())) if v is not None]
+        before = [v.copy() for v in operands]
+        out = epilogue(y.copy(), bias, act, res, ln)
+        np.testing.assert_array_equal(out, ref)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        for v, v0 in zip(operands, before):
+            np.testing.assert_array_equal(v, v0)
+
+    def test_runs_in_place(self, rng):
+        y = rng.standard_normal((BLOCK + 1, N))
+        assert np.shares_memory(epilogue(y, rng.standard_normal(N), "gelu"), y)
+
+    def test_float32_with_float64_bias_promotes(self, rng):
+        y = rng.standard_normal((2 * BLOCK + 3, N)).astype(np.float32)
+        bias = rng.standard_normal(N)
+        ln = (rng.standard_normal(N), rng.standard_normal(N))
+        out = epilogue(y.copy(), bias, "gelu", None, ln)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, _chain(y, bias, "gelu", None, ln))
+
+    def test_float32_promotes_at_the_step_that_widens(self, rng):
+        """float32 through bias, GELU, residual and the LN reductions; the
+        float64 LN gain widens only the final affine step."""
+        f32 = np.float32
+        y = rng.standard_normal((2 * BLOCK + 3, N)).astype(f32)
+        bias, res = rng.standard_normal(N).astype(f32), y[::-1].copy()
+        ln = (rng.standard_normal(N), rng.standard_normal(N).astype(f32))
+        ref = _chain(y, bias, "gelu", res, ln)
+        assert ref.dtype == np.float64
+        np.testing.assert_array_equal(epilogue(y.copy(), bias, "gelu", res, ln),
+                                      ref)
+        ln32 = (ln[0].astype(f32), ln[1])
+        out = epilogue(y.copy(), bias, "gelu", res, ln32)
+        assert out.dtype == f32
+        np.testing.assert_array_equal(out, _chain(y, bias, "gelu", res, ln32))
+
+    def test_unknown_activation_one_message(self):
+        for call in (lambda: epilogue(np.ones((2, 2)), act="swish"),
+                     lambda: epilogue_cost(2, 2, 2, act="swish")):
+            with pytest.raises(ValueError, match="unknown activation: 'swish'"):
+                call()
+
+    def test_layer_norm_op_leaves_inputs_alone(self, ctx, rng):
+        x, r = rng.standard_normal((BLOCK + 2, N)), rng.standard_normal((BLOCK + 2, N))
+        g, b = rng.standard_normal(N), rng.standard_normal(N)
+        before = [v.copy() for v in (x, r, g, b)]
+        np.testing.assert_array_equal(layer_norm_op(ctx, x, g, b),
+                                      layer_norm(x, g, b))
+        np.testing.assert_array_equal(layer_norm_op(ctx, x, g, b, residual=r),
+                                      layer_norm(x + r, g, b))
+        for v, v0 in zip((x, r, g, b), before):
+            np.testing.assert_array_equal(v, v0)

@@ -8,6 +8,7 @@ from repro.ops import (
     GemmAlgo,
     col_pruned_gemm,
     gemm,
+    gemm_bias_act,
     irregular_gemm,
     row_pruned_gemm,
     tile_gemm,
@@ -192,3 +193,31 @@ class TestIrregularGemm:
             times[ratio] = tl.total_time_us
         nnz_ratio = 0.4 / 0.1  # 4x fewer weights
         assert times[0.6] / times[0.9] < nnz_ratio * 0.75
+
+
+@pytest.mark.parametrize("op", ["tile", "col", "row", "irregular", "dense"])
+def test_ops_leave_inputs_unmodified(ctx, rng, op):
+    """The epilogue overwrites only the op's own product: never ``x``, the
+    residual, the bias, the LN parameters or the weights."""
+    x = rng.standard_normal((40, 64))
+    w = rng.standard_normal((64, 64)) * 0.1
+    bias, res = rng.standard_normal(64), rng.standard_normal((40, 64))
+    ln = (rng.standard_normal(64), rng.standard_normal(64))
+    fused = dict(bias=bias, act="gelu", residual=res, ln=ln)
+    call = {
+        "tile": lambda: tile_gemm(ctx, x, TileBCSR.from_dense(
+            w * tile_mask(w, 0.5, (16, 16))), **fused),
+        "col": lambda: col_pruned_gemm(ctx, x, CondensedColPruned.from_dense(
+            w, np.arange(64) % 2 == 0), **fused),
+        "row": lambda: row_pruned_gemm(ctx, x, CondensedRowPruned.from_dense(
+            w, np.arange(64) % 2 == 0), bias=bias, act="gelu"),
+        "irregular": lambda: irregular_gemm(ctx, x, TileBCSR.from_dense(
+            w * irregular_mask(w, 0.5)), bias=bias, act="gelu"),
+        "dense": lambda: gemm_bias_act(ctx, x, w.T, bias, "gelu", res,
+                                       ln[0], ln[1]),
+    }[op]
+    inputs = (x, w, bias, res, *ln)
+    before = [v.copy() for v in inputs]
+    call()
+    for v, v0 in zip(inputs, before):
+        np.testing.assert_array_equal(v, v0)

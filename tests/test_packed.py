@@ -18,7 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import small_config
+from repro.config import BERT_BASE, small_config
+from repro.ops.epilogue import EPILOGUE_BLOCK_BYTES
 from repro.ops.softmax import causal_mask
 from repro.pruning import PruneMethod
 from repro.runtime import (
@@ -117,6 +118,19 @@ class TestBitwiseEquivalence:
     def test_matches_single_request_run(self, engine):
         rng = np.random.default_rng(6)
         assert_matches_run(engine, *_batch(rng, [16, 32, 16], masked=(1,)))
+
+
+def test_paper_shape_members_match_run():
+    """BERT_BASE, attention-aware 80 %, two members of seqLen 320: fc1's
+    320×3072 epilogue spans several row blocks and attention runs flash."""
+    w = EncoderWeights.random(BERT_BASE, np.random.default_rng(0), 1)
+    w.prune(PruneMethod.ATTENTION_AWARE, 0.8)
+    eng = ETEngine(w)
+    assert 320 * BERT_BASE.d_ff * 8 > 3 * EPILOGUE_BLOCK_BYTES
+    rng = np.random.default_rng(11)
+    xs = [rng.standard_normal((320, BERT_BASE.d_model)) for _ in range(2)]
+    assert_matches_run(eng, xs, [None, None])
+    assert eng.run(xs[0]).choices["layer0.attention"] == "flash"
 
 
 class TestDispatch:

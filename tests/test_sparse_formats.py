@@ -137,6 +137,16 @@ class TestTileBCSR:
         assert (np.diff(fmt.row_ptr) >= 0).all()
         assert fmt.row_ptr[-1] == fmt.num_tiles
 
+    @pytest.mark.parametrize("mask", ["tile", "irregular", "empty"])
+    def test_cost_metadata_matches_dense(self, w, mask):
+        wm = {"tile": w * tile_mask(w, 0.6, (16, 16)),
+              "irregular": w * irregular_mask(w, 0.9),
+              "empty": np.zeros_like(w)}[mask]
+        fmt = TileBCSR.from_dense(wm)
+        assert fmt.nnz == np.count_nonzero(wm)
+        cols_used = (wm != 0).reshape(4, 16, 3, 16).any(axis=(0, 1, 3))
+        assert fmt.active_cols == cols_used.sum()
+
 
 class TestTileBCSRPaperShape:
     """BERT_BASE fc2 (768×3072) at 80% tile pruning: tile-rows hold ~38
