@@ -1,44 +1,36 @@
 """`etlint` — repo-specific static analysis for the E.T. reproduction.
 
-Seven AST passes enforce the invariants the engine's correctness rests on,
-at analysis time instead of at runtime:
+Four AST passes enforce the invariants no runtime test can catch, at
+analysis time:
 
-1. **fp16-safety** (ET2xx): the Section 3.3 scaling-reorder rule — pure
-   FP16 ``Q·Kᵀ`` must pre-scale or widen its accumulator; "pre-scaled"
-   is tracked flow-sensitively through locals and one-level helpers.
-2. **determinism** (ET3xx): no wall clocks, unseeded RNG, or unsorted set
+1. **determinism** (ET3xx): no wall clocks, unseeded RNG, or unsorted set
    iteration in the paths that back the byte-identical-trace guarantee.
-3. **thread-safety** (ET4xx): ``self.*`` writes and lock-less-collaborator
-   mutations in lock-owning serving classes must hold the class's lock.
-4. **process-safety** (ET501): ``multiprocessing.shared_memory`` may only
+2. **thread-safety** (ET4xx): ``self.*`` writes and lock-less-collaborator
+   calls in lock-owning serving classes must hold the class's lock.
+3. **process-safety** (ET501): ``multiprocessing.shared_memory`` may only
    be touched by the pool's weight-store module
    (:mod:`repro.runtime.shm`), which owns the segment lifecycle.
-5. **shm-lifecycle** (ET502–ET504): every raw segment acquisition is
-   walked path-sensitively through created/attached → used → closed →
-   unlinked — leaks on branches, use-after-close, double-unlink.
-6. **lock-order** (ET6xx): a project-wide lock acquisition-order graph;
+4. **lock-order** (ET6xx): a project-wide lock acquisition-order graph;
    cycles (ET601, with a ``file:line`` witness per edge) and
-   non-reentrant re-acquisition through the call graph (ET602).
-7. **event-protocol** (ET7xx): every ``admit`` event must reach a
-   terminal ``complete``/``reject``/``rebook`` or an explicit hand-off
-   on every path, including the worker-death re-booking contract.
+   non-reentrant re-acquisition through resolved calls (ET602), built
+   on the symbol table in :mod:`repro.analysis.callgraph`.
 
-The deep passes share a substrate: :mod:`repro.analysis.callgraph`
-(symbol table + resolved call graph) and :mod:`repro.analysis.protocol`
-(a generic protocol-state-machine walker). ET001 warns on stale
-``# etlint: disable=`` comments, the only suppression mechanism.
+ET001 reports stale ``# etlint: disable=`` comments, the only
+suppression mechanism; like every finding it fails the run.
 
-The kernel-launch contract (Equation 6 shared-memory budgets, 16-row
-tensor-core tiles) is not checked here: its sizes are runtime values,
-so ``KernelCost.validate_launch`` enforces it on every launch and
-``tests/test_gpu_model.py`` pins it across devices and models.
+Invariants a runtime check already enforces are not linted: the
+Section 3.3 scaling reorder (``tests/test_attention.py`` pins the Fig. 4
+overflow study), event-lifecycle closure (``tools/check_trace.py`` and
+the pool death tests), shared-memory segment cleanup (the weight-store
+tests in ``tests/test_pool.py``), and the kernel-launch contract
+(``KernelCost.validate_launch`` on every launch).
 
-Run ``python -m repro.analysis`` (or ``tools/etlint.py``); see
-``--list-rules`` for the rule catalogue and DESIGN.md §9/§13 for the
-mapping from rules to paper sections.
+Run ``python -m repro.analysis``; see ``--list-rules`` for the rule
+catalogue and DESIGN.md §9/§13 for the mapping from rules to the
+contracts they guard.
 """
 
-from repro.analysis.findings import RULES, Finding, Rule, Severity
+from repro.analysis.findings import RULES, Finding, Rule
 from repro.analysis.runner import (
     AnalysisContext,
     AnalysisReport,
@@ -52,7 +44,6 @@ __all__ = [
     "Finding",
     "RULES",
     "Rule",
-    "Severity",
     "SourceFile",
     "run_analysis",
 ]

@@ -1,8 +1,8 @@
 """Command-line front end: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 — clean; 1 — findings (or parse errors, or unused
-suppressions under ``--strict-suppressions``, or a failed
-``--selftest``); 2 — usage error (bad path, unknown rule).
+Exit codes: 0 — clean; 1 — findings, stale suppressions (ET001) included,
+parse errors, or a failed ``--selftest``; 2 — usage error (bad path,
+unknown rule).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.findings import RULES, Finding, Severity
+from repro.analysis.findings import RULES, Finding
 from repro.analysis.runner import run_analysis
 
 EXIT_CLEAN = 0
@@ -24,18 +24,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="etlint: static analysis of the E.T. reproduction's "
-                    "FP16-safety, determinism, thread-, process-, "
-                    "deadlock-, and event-protocol contracts.",
+                    "determinism, thread-safety, shared-memory ownership "
+                    "and lock-order contracts.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to analyze (default: src)")
     parser.add_argument(
-        "--format", choices=("text", "github", "json", "sarif"),
-        default="text",
+        "--format", choices=("text", "github", "json"), default="text",
         help="finding output format; 'github' emits workflow-command "
-             "annotations that overlay PR diffs, 'sarif' a SARIF 2.1.0 "
-             "log for code-scanning upload")
+             "annotations that overlay PR diffs")
     parser.add_argument(
         "--rules", metavar="IDS", default=None,
         help="comma-separated rule ids or prefixes to run "
@@ -44,20 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print every rule with its invariant and exit")
     parser.add_argument(
-        "--strict-suppressions", action="store_true",
-        help="fail (exit 1) when any ET001 unused-suppression warning "
-             "is reported")
-    parser.add_argument(
         "--selftest", action="store_true",
-        help="verify the deep passes trip on synthetic known-bad "
-             "fixtures (deadlock + shm leak), then exit")
+        help="verify the lock-order pass trips on a synthetic AB/BA "
+             "deadlock fixture, then exit")
     return parser
 
 
 def _list_rules() -> str:
     lines = []
     for rule in sorted(RULES.values(), key=lambda r: r.rule_id):
-        lines.append(f"{rule.rule_id} [{rule.severity.value}] {rule.name}")
+        lines.append(f"{rule.rule_id} {rule.name}")
         lines.append(f"    {rule.summary}")
         lines.append(f"    invariant: {rule.invariant}")
         lines.append(f"    traces to: {rule.paper_ref}")
@@ -70,8 +64,7 @@ def _json_payload(findings: list[Finding]) -> str:
     return json.dumps(
         [
             {"rule": f.rule_id, "path": f.path, "line": f.line,
-             "col": f.col, "severity": f.severity.value,
-             "message": f.message, "hint": f.hint}
+             "col": f.col, "message": f.message, "hint": f.hint}
             for f in findings
         ],
         indent=2,
@@ -92,8 +85,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         for failure in failures:
             print(f"selftest FAILED: {failure}", file=sys.stderr)
         if not failures:
-            print("etlint selftest: synthetic deadlock and shm-leak "
-                  "fixtures both detected", file=sys.stderr)
+            print("etlint selftest: synthetic lock-order cycle detected",
+                  file=sys.stderr)
         return EXIT_FINDINGS if failures else EXIT_CLEAN
 
     paths = [Path(p) for p in args.paths]
@@ -121,16 +114,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.format == "json":
         print(_json_payload(report.findings))
-    elif args.format == "sarif":
-        from repro.analysis.sarif import sarif_json
-
-        print(sarif_json(report.findings))
     else:
         for finding in report.findings:
             print(finding.format_github() if args.format == "github"
                   else finding.format_text())
-
-    if args.format not in ("json", "sarif"):
         summary = (f"etlint: {len(report.findings)} finding"
                    f"{'' if len(report.findings) == 1 else 's'} across "
                    f"{report.files_scanned} files")
@@ -138,9 +125,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             summary += f" ({report.suppressed_inline} inline-suppressed)"
         print(summary, file=sys.stderr)
 
-    errors = [f for f in report.findings if f.severity is not Severity.WARNING]
-    warnings_fail = args.strict_suppressions and report.unused_suppressions
-    if errors or warnings_fail or report.parse_errors:
+    if report.findings or report.parse_errors:
         return EXIT_FINDINGS
     return EXIT_CLEAN
 

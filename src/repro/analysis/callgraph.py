@@ -1,27 +1,25 @@
-"""Project-wide symbol table and call graph for the analysis substrate.
+"""Project-wide symbol table and call resolution for the lock-order pass.
 
-etlint v1 was a per-function AST walk: every fact a pass used had to be
-syntactically present at the call site. The cross-process invariants the
-serving/pool layers grew (lock ordering across collaborating classes,
-shared-memory lifecycles that span helpers, event-protocol closure) are
-*interprocedural*, so this module builds the two shared structures every
-v2 pass consumes:
+The lock-order invariant is *interprocedural*: a lock taken inside a
+callee counts as taken at the call site. This module builds what the
+pass needs to follow such calls:
 
 - :class:`SymbolTable` — every function, class, method, per-class lock
   attributes (with ``Condition(self._lock)`` unified into one lock
   group), collaborator attribute types from ``__init__`` construction,
-  module-level locks, and per-module import aliases;
-- :class:`CallGraph` — resolved call edges between scanned functions
+  module-level locks and instances, and per-module import aliases;
+- :func:`resolve_call` — the scanned function a call provably targets
   (``self.m()``, ``self.attr.m()`` through the attribute's constructed
   class, bare names through imports, ``var.m()`` through a local
   single-constructor assignment).
 
-It also holds the three AST-name helpers the passes share
-(:func:`callee_name`, :func:`dotted_callee`, :func:`keyword_arg`).
+It also holds the AST-name helpers the passes share
+(:func:`callee_name`, :func:`dotted_callee`, :func:`self_attr`,
+:func:`import_aliases`).
 
-Resolution is deliberately *under*-approximate: an edge exists only when
-the callee is provably a scanned function, so passes built on the graph
-report no speculative findings.
+Resolution is deliberately *under*-approximate: a call resolves only
+when the callee is provably a scanned function, so the pass reports no
+speculative findings.
 """
 
 from __future__ import annotations
@@ -68,20 +66,7 @@ def dotted_callee(call: ast.Call) -> str | None:
     return None
 
 
-def keyword_arg(call: ast.Call, name: str,
-                position: int | None = None) -> ast.expr | None:
-    """The expression bound to parameter ``name`` (keyword or positional)."""
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    if position is not None and position < len(call.args):
-        arg = call.args[position]
-        if not isinstance(arg, ast.Starred):
-            return arg
-    return None
-
-
-def _self_attr(node: ast.expr) -> str | None:
+def self_attr(node: ast.expr) -> str | None:
     """``X`` when ``node`` is ``self.X``, else ``None``."""
     if isinstance(node, ast.Attribute) and \
             isinstance(node.value, ast.Name) and node.value.id == "self":
@@ -95,11 +80,7 @@ class ClassInfo:
 
     name: str
     module: str
-    display: str
-    node: ast.ClassDef
     methods: dict[str, FuncNode] = field(default_factory=dict)
-    #: every lock-ish attribute name
-    lock_attrs: set[str] = field(default_factory=set)
     #: lock attr -> canonical group representative (Condition-over-lock
     #: attributes share their underlying lock's group)
     lock_group: dict[str, str] = field(default_factory=dict)
@@ -115,28 +96,17 @@ class ClassInfo:
 
 @dataclass(frozen=True)
 class FunctionInfo:
-    """One scanned function or method."""
+    """One scanned function or method, keyed in the table by qualname
+    (``"module:func"`` or ``"module:Class.method"``)."""
 
-    qualname: str  # "module:func" or "module:Class.method"
     module: str
     display: str
     cls: str | None
-    name: str
     node: FuncNode
 
-    @property
-    def params(self) -> list[str]:
-        """Positional parameter names (``self`` stripped for methods)."""
-        args = [a.arg for a in self.node.args.posonlyargs]
-        args += [a.arg for a in self.node.args.args]
-        if self.cls is not None and args and args[0] in ("self", "cls"):
-            args = args[1:]
-        return args
 
-
-def _classify_class(cls: ast.ClassDef, module: str,
-                    display: str) -> ClassInfo:
-    info = ClassInfo(name=cls.name, module=module, display=display, node=cls)
+def _classify_class(cls: ast.ClassDef, module: str) -> ClassInfo:
+    info = ClassInfo(name=cls.name, module=module)
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.methods[stmt.name] = stmt
@@ -150,17 +120,16 @@ def _classify_class(cls: ast.ClassDef, module: str,
         if ctor is None:
             continue
         for target in node.targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
             if ctor in LOCK_FACTORIES:
-                info.lock_attrs.add(attr)
                 info.lock_kind[attr] = ctor.rsplit(".", 1)[-1]
                 # Condition(self._lock) shares the wrapped lock: union the
                 # groups so "holding _not_full" == "holding _lock".
                 wrapped = None
                 if value.args:
-                    wrapped = _self_attr(value.args[0])
+                    wrapped = self_attr(value.args[0])
                 info.lock_group[attr] = wrapped if wrapped is not None \
                     else attr
             elif "." not in ctor:
@@ -174,14 +143,13 @@ def _classify_class(cls: ast.ClassDef, module: str,
             seen.add(root)
             root = info.lock_group[root]
         info.lock_group[attr] = root
-        info.lock_attrs.add(root)
         info.lock_kind.setdefault(root, info.lock_kind.get(attr, "Lock"))
     return info
 
 
 @dataclass
 class SymbolTable:
-    """Cross-file symbol index shared by the v2 passes."""
+    """Cross-file symbol index the lock-order pass resolves calls in."""
 
     #: class name -> info (class names are unique across the repo)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
@@ -194,9 +162,6 @@ class SymbolTable:
     #: module -> module-level ``NAME = ClassName(...)`` instance globals
     instances: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def function(self, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(qualname)
-
     def method_qual(self, cls: str, method: str) -> str | None:
         """Qualname of ``cls.method`` when both are scanned."""
         info = self.classes.get(cls)
@@ -205,7 +170,8 @@ class SymbolTable:
         return f"{info.module}:{cls}.{method}"
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
+def import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Map local names to the dotted import path they are bound to."""
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -224,23 +190,23 @@ def build_symbols(files: Iterable["SourceFile"]) -> SymbolTable:
     """Index every class, function, import, and module-level lock."""
     table = SymbolTable()
     for sf in files:
-        table.imports[sf.module] = _import_aliases(sf.tree)
+        table.imports[sf.module] = import_aliases(sf.tree)
         locks: set[str] = set()
         instances: dict[str, str] = {}
         for stmt in sf.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{sf.module}:{stmt.name}"
                 table.functions[qual] = FunctionInfo(
-                    qualname=qual, module=sf.module, display=sf.display,
-                    cls=None, name=stmt.name, node=stmt)
+                    module=sf.module, display=sf.display, cls=None,
+                    node=stmt)
             elif isinstance(stmt, ast.ClassDef):
-                info = _classify_class(stmt, sf.module, sf.display)
+                info = _classify_class(stmt, sf.module)
                 table.classes[stmt.name] = info
                 for mname, mnode in info.methods.items():
                     qual = f"{sf.module}:{stmt.name}.{mname}"
                     table.functions[qual] = FunctionInfo(
-                        qualname=qual, module=sf.module, display=sf.display,
-                        cls=stmt.name, name=mname, node=mnode)
+                        module=sf.module, display=sf.display,
+                        cls=stmt.name, node=mnode)
             elif isinstance(stmt, ast.Assign) \
                     and isinstance(stmt.value, ast.Call):
                 ctor = dotted_callee(stmt.value)
@@ -327,67 +293,9 @@ def resolve_call(call: ast.Call, module: str, cls: ClassInfo | None,
                 return table.method_qual(owner, method)
         return None
     # self.<attr>.method() through the attribute's constructed class.
-    attr = _self_attr(base)
+    attr = self_attr(base)
     if attr is not None and cls is not None:
         owner = cls.attr_classes.get(attr)
         if owner is not None:
             return table.method_qual(owner, method)
     return None
-
-
-@dataclass(frozen=True)
-class CallSite:
-    """One resolved call edge."""
-
-    caller: str
-    callee: str
-    node: ast.Call
-
-
-class CallGraph:
-    """Resolved call edges between scanned functions."""
-
-    def __init__(self, table: SymbolTable) -> None:
-        self.table = table
-        self.edges: dict[str, list[CallSite]] = {}
-        self.callers: dict[str, list[CallSite]] = {}
-        for qual, info in table.functions.items():
-            cls = table.classes.get(info.cls) if info.cls else None
-            local_types = local_constructions(info.node, table)
-            sites: list[CallSite] = []
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = resolve_call(node, info.module, cls, table,
-                                      local_types)
-                if callee is not None and callee != qual:
-                    site = CallSite(caller=qual, callee=callee, node=node)
-                    sites.append(site)
-                    self.callers.setdefault(callee, []).append(site)
-            self.edges[qual] = sites
-
-    def callees(self, qualname: str) -> list[CallSite]:
-        return self.edges.get(qualname, [])
-
-    def call_sites_of(self, qualname: str) -> list[CallSite]:
-        """Every resolved site that calls ``qualname``."""
-        return self.callers.get(qualname, [])
-
-    def reachable(self, roots: Iterable[str], limit: int = 500) -> set[str]:
-        """Functions reachable from ``roots`` through resolved edges."""
-        seen: set[str] = set()
-        stack = [r for r in roots if r in self.edges]
-        while stack and len(seen) < limit:
-            qual = stack.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            for site in self.edges.get(qual, []):
-                if site.callee not in seen:
-                    stack.append(site.callee)
-        return seen
-
-
-def build_callgraph(table: SymbolTable) -> CallGraph:
-    """Build the project call graph from the symbol table."""
-    return CallGraph(table)

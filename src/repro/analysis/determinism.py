@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING
 
-from repro.analysis.callgraph import callee_name
+from repro.analysis.callgraph import callee_name, import_aliases
 from repro.analysis.findings import Finding, make_finding
 
 if TYPE_CHECKING:
@@ -62,21 +62,6 @@ _STDLIB_RNG = frozenset({
 })
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted import path they are bound to."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-    return aliases
-
-
 def _resolved_path(call: ast.Call, aliases: dict[str, str]) -> str | None:
     """Dotted callee path with its leading alias expanded."""
     parts: list[str] = []
@@ -111,7 +96,7 @@ def check_determinism(sf: "SourceFile",
                       ctx: "AnalysisContext") -> list[Finding]:
     """Run the determinism checks over one file."""
     findings: list[Finding] = []
-    aliases = _import_aliases(sf.tree)
+    aliases = import_aliases(sf.tree)
     hot = in_hot_path(sf.module)
     for node in ast.walk(sf.tree):
         if isinstance(node, ast.Call):

@@ -6,34 +6,22 @@ the canonical fix, so a finding is actionable without opening the linter
 source. Rule identifiers are stable (inline suppressions reference them)
 and grouped by pass:
 
-- ``ET2xx`` — FP16 numerical safety (the Section 3.3 scaling reorder),
-  :mod:`repro.analysis.fp16_safety`;
 - ``ET3xx`` — determinism of the byte-identical trace/artifact paths,
   :mod:`repro.analysis.determinism`;
 - ``ET4xx`` — thread-safety of the serving layer's shared state,
   :mod:`repro.analysis.thread_safety`;
-- ``ET5xx`` — process-safety of the replica pool's shared-memory
-  plumbing, :mod:`repro.analysis.process_safety` (ET501) and the
-  path-sensitive segment lifecycle in
-  :mod:`repro.analysis.shm_lifecycle` (ET502–504);
+- ``ET501`` — process-safety: only the replica pool's weight store
+  touches shared memory, :mod:`repro.analysis.process_safety`;
 - ``ET6xx`` — deadlock freedom of the lock-acquisition order graph,
   :mod:`repro.analysis.locks`;
-- ``ET7xx`` — flight-recorder event-protocol closure,
-  :mod:`repro.analysis.event_protocol`;
 - ``ET001`` — meta: stale inline suppressions, reported by the runner.
+
+Every finding fails the run.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """Finding severity: both fail the run, only the annotation differs."""
-
-    ERROR = "error"
-    WARNING = "warning"
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,7 +34,6 @@ class Rule:
     invariant: str
     hint: str
     paper_ref: str
-    severity: Severity = Severity.ERROR
 
 
 @dataclass(frozen=True)
@@ -59,7 +46,6 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-    severity: Severity = field(default=Severity.ERROR, compare=False)
 
     def sort_key(self) -> tuple[str, int, int, str]:
         """Stable ordering: by file, then position, then rule."""
@@ -74,47 +60,15 @@ class Finding:
 
     def format_github(self) -> str:
         """GitHub Actions workflow-command annotation (PR diff overlay)."""
-        level = "error" if self.severity is Severity.ERROR else "warning"
         message = self.message if not self.hint else f"{self.message} — fix: {self.hint}"
         # Workflow-command values must escape newlines and their delimiters.
         message = (message.replace("%", "%25").replace("\r", "%0D")
                    .replace("\n", "%0A"))
-        return (f"::{level} file={self.path},line={self.line},"
+        return (f"::error file={self.path},line={self.line},"
                 f"col={self.col},title={self.rule_id}::{message}")
 
 
 _RULE_LIST: tuple[Rule, ...] = (
-    Rule(
-        rule_id="ET201",
-        name="fp16-matmul-prescale",
-        summary="Pure-FP16 matmul without pre-scaling its left operand",
-        invariant="Pure-FP16 Q·Kᵀ overflows for most entries unless the "
-                  "1/√d_k scaling moves before the product (the Section 3.3 "
-                  "reorder) or the accumulator widens to FP32.",
-        hint="scale the left operand before the call (q * (1/sqrt(d_k))) or "
-             "pass accumulate=\"fp32\"",
-        paper_ref="Section 3.3, Fig. 4",
-    ),
-    Rule(
-        rule_id="ET202",
-        name="post-scale-fp16-scores",
-        summary="Attention scores computed scale-last in pure FP16",
-        invariant="scale_first=False with an FP16 accumulator is Fig. 4's "
-                  "overflow regime; production paths must pre-scale.",
-        hint="pass scale_first=True, or accumulate=\"fp32\" if the "
-             "conventional order is required",
-        paper_ref="Section 3.3, Fig. 4",
-    ),
-    Rule(
-        rule_id="ET203",
-        name="fp16-cast-of-matmul",
-        summary="Unscaled matmul product cast straight to FP16",
-        invariant="Casting a raw Q·Kᵀ-style product to FP16 saturates to inf "
-                  "wherever the sum left the ±65504 range.",
-        hint="apply the 1/√d_k scaling to an operand before the product, "
-             "then cast",
-        paper_ref="Section 3.3, Fig. 4",
-    ),
     Rule(
         rule_id="ET301",
         name="wall-clock-in-hot-path",
@@ -181,39 +135,6 @@ _RULE_LIST: tuple[Rule, ...] = (
         paper_ref="replica pool process contract (DESIGN.md §11)",
     ),
     Rule(
-        rule_id="ET502",
-        name="shm-leak-on-path",
-        summary="A shared-memory mapping escapes scope on some path without close()/unlink()",
-        invariant="Every SharedMemory attach must reach a close() (and the "
-                  "owner's unlink()) on every path, including exceptional "
-                  "ones; a leaked mapping keeps the segment alive after the "
-                  "process exits under POSIX semantics.",
-        hint="wrap the op that can raise in try/finally and close() the "
-             "mapping in the finally block",
-        paper_ref="replica pool process contract (DESIGN.md §11)",
-    ),
-    Rule(
-        rule_id="ET503",
-        name="shm-use-after-close",
-        summary="Shared-memory mapping used after close() on some path",
-        invariant="Accessing .buf (or re-closing/unlinking through it) after "
-                  "close() dereferences an unmapped view and crashes or "
-                  "corrupts.",
-        hint="restructure so every use dominates the close(); take values "
-             "out of the buffer before closing",
-        paper_ref="replica pool process contract (DESIGN.md §11)",
-    ),
-    Rule(
-        rule_id="ET504",
-        name="shm-double-unlink",
-        summary="Shared-memory segment unlink()ed twice on one path",
-        invariant="unlink() removes the segment name; a second unlink() on "
-                  "the same raw mapping raises FileNotFoundError (only "
-                  "SharedWeightStore.unlink is documented idempotent).",
-        hint="unlink once, at the owner, after every attacher closed",
-        paper_ref="replica pool process contract (DESIGN.md §11)",
-    ),
-    Rule(
         rule_id="ET601",
         name="lock-order-cycle",
         summary="Cyclic lock-acquisition order across classes",
@@ -236,40 +157,6 @@ _RULE_LIST: tuple[Rule, ...] = (
         paper_ref="pool/serving lock discipline (DESIGN.md §11)",
     ),
     Rule(
-        rule_id="ET701",
-        name="event-admit-without-terminal",
-        summary="Class emits admit events but no terminal complete/reject",
-        invariant="check_trace.py requires every admitted rid to reach a "
-                  "terminal event; a component that admits but can never "
-                  "complete/reject leaves open lifecycles in every trace.",
-        hint="emit complete on the success path and reject on the failure "
-             "path (PoolServer re-books via rebook on worker death)",
-        paper_ref="flight-recorder lifecycle closure (DESIGN.md §12)",
-    ),
-    Rule(
-        rule_id="ET702",
-        name="event-admit-open-path",
-        summary="A path emits admit but neither reaches a terminal emit nor hands the request off",
-        invariant="Between admit and the terminal event the request must "
-                  "stay owned: every path out of the admitting function "
-                  "must emit complete/reject or hand the request to the "
-                  "queue/futures machinery that guarantees the terminal.",
-        hint="emit reject before re-raising on the failure path, or enqueue "
-             "the request before the function can exit",
-        paper_ref="flight-recorder lifecycle closure (DESIGN.md §12)",
-    ),
-    Rule(
-        rule_id="ET703",
-        name="worker-death-without-rebook",
-        summary="Worker-death event emitted without re-booking orphaned requests",
-        invariant="The pool's recovery contract: a worker_death emit must be "
-                  "followed by rebook emits for the orphans, or their "
-                  "lifecycles never close.",
-        hint="emit events.rebook(rid, ...) for each orphaned request when "
-             "handling the dead worker",
-        paper_ref="pool worker-death recovery (DESIGN.md §11–12)",
-    ),
-    Rule(
         rule_id="ET001",
         name="unused-suppression",
         summary="Inline '# etlint: disable=...' comment suppresses nothing",
@@ -278,7 +165,6 @@ _RULE_LIST: tuple[Rule, ...] = (
         hint="delete the comment (or narrow its rule list) now that the "
              "finding is gone",
         paper_ref="etlint suppression hygiene",
-        severity=Severity.WARNING,
     ),
 )
 
@@ -288,7 +174,6 @@ RULES: dict[str, Rule] = {r.rule_id: r for r in _RULE_LIST}
 
 def make_finding(rule_id: str, path: str, line: int, col: int,
                  message: str) -> Finding:
-    """Build a finding, pulling hint and severity from the registry."""
-    rule = RULES[rule_id]
+    """Build a finding, pulling its hint from the registry."""
     return Finding(rule_id=rule_id, path=path, line=line, col=col,
-                   message=message, hint=rule.hint, severity=rule.severity)
+                   message=message, hint=RULES[rule_id].hint)

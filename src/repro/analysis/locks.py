@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.callgraph import (
     REENTRANT_FACTORIES,
-    CallGraph,
     FunctionInfo,
     SymbolTable,
     local_constructions,
@@ -65,9 +64,8 @@ class _Edge:
 class _LockModel:
     """Per-function acquisitions plus the order graph built from them."""
 
-    def __init__(self, table: SymbolTable, graph: CallGraph) -> None:
+    def __init__(self, table: SymbolTable) -> None:
         self.table = table
-        self.graph = graph
         #: qual -> {lock: witness steps from function entry to acquisition}
         self.acquires: dict[str, dict[LockNode, list[Step]]] = {}
         #: (held locks w/ lines, call node, callee qual, display)
@@ -242,12 +240,8 @@ def _cycles(edges: list[_Edge]) -> list[list[_Edge]]:
     return [found[key] for key in sorted(found)]
 
 
-def _build_model(ctx: "AnalysisContext") -> _LockModel:
-    return _LockModel(ctx.symbols, ctx.callgraph)
-
-
 def _lock_findings(ctx: "AnalysisContext") -> list[Finding]:
-    model = _build_model(ctx)
+    model = _LockModel(ctx.symbols)
     findings: list[Finding] = []
     edges = model.edges()
     for cycle in _cycles(edges):

@@ -1,9 +1,8 @@
 """Discovery and orchestration for the `etlint` passes.
 
 The runner parses every Python file under the given paths once, builds the
-shared static context — the scanned-class lock map, the project symbol
-table and the call graph — runs each pass over each file, then applies
-inline suppressions.
+shared static context — the scanned-class lock map and the project symbol
+table — runs each pass over each file, then applies inline suppressions.
 
 Inline suppression: a line (or the line directly above it) containing
 ``# etlint: disable=ET301`` (comma-separated ids, or ``all``) silences
@@ -12,9 +11,9 @@ a reason, e.g.::
 
     self._t0 = time.monotonic()  # etlint: disable=ET301 timing boundary
 
-A suppression that silences nothing is itself reported (ET001, WARNING)
-so stale disables cannot accumulate; ``--strict-suppressions`` promotes
-those warnings to CI failures. When ``rule_filter`` restricts the run to
+A suppression that silences nothing is itself reported (ET001) and fails
+the run like any finding, so stale disables cannot accumulate. When
+``rule_filter`` restricts the run to
 a subset of rules, ET001 is skipped — a suppression for an un-run rule
 is not evidence of staleness. Inline disables are the only suppression
 mechanism.
@@ -28,8 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.analysis.callgraph import CallGraph, SymbolTable, build_callgraph, \
-    build_symbols
+from repro.analysis.callgraph import SymbolTable, build_symbols
 from repro.analysis.findings import Finding, make_finding
 
 if TYPE_CHECKING:
@@ -53,10 +51,8 @@ class SourceFile:
 class AnalysisContext:
     """Cross-file facts shared by every pass."""
 
-    files: list[SourceFile]
     classes: ClassIndex
     symbols: SymbolTable
-    callgraph: CallGraph
     #: per-run memo space for project-wide passes (computed once,
     #: reported per file) — keyed by pass name
     scratch: dict[str, object] = field(default_factory=dict)
@@ -70,7 +66,6 @@ class AnalysisReport:
     files_scanned: int
     suppressed_inline: int
     parse_errors: list[str] = field(default_factory=list)
-    unused_suppressions: int = 0
 
 
 PassFn = Callable[[SourceFile, AnalysisContext], list[Finding]]
@@ -134,33 +129,24 @@ def build_context(files: list[SourceFile]) -> AnalysisContext:
     """Assemble the shared static context from the parsed files."""
     from repro.analysis.thread_safety import index_classes
 
-    symbols = build_symbols(files)
     return AnalysisContext(
-        files=files,
         classes=index_classes([sf.tree for sf in files]),
-        symbols=symbols,
-        callgraph=build_callgraph(symbols),
+        symbols=build_symbols(files),
     )
 
 
 def default_passes() -> dict[str, PassFn]:
     """Every pass, keyed by family name."""
     from repro.analysis.determinism import check_determinism
-    from repro.analysis.event_protocol import check_event_protocol
-    from repro.analysis.fp16_safety import check_fp16_safety
     from repro.analysis.locks import check_lock_order
     from repro.analysis.process_safety import check_process_safety
-    from repro.analysis.shm_lifecycle import check_shm_lifecycle
     from repro.analysis.thread_safety import check_thread_safety
 
     return {
-        "fp16-safety": check_fp16_safety,            # ET2xx
         "determinism": check_determinism,            # ET3xx
         "thread-safety": check_thread_safety,        # ET4xx
         "process-safety": check_process_safety,      # ET501
-        "shm-lifecycle": check_shm_lifecycle,        # ET502-ET504
         "lock-order": check_lock_order,              # ET6xx
-        "event-protocol": check_event_protocol,      # ET7xx
     }
 
 
@@ -227,12 +213,11 @@ def _collect(
     files: list[SourceFile],
     ctx: AnalysisContext,
     rule_filter: Callable[[str], bool] | None,
-) -> tuple[list[Finding], int, list[Finding]]:
-    """Run the passes: (unsuppressed findings, inline-suppressed, ET001)."""
+) -> tuple[list[Finding], int]:
+    """Run the passes: (unsuppressed findings incl. ET001, inline-suppressed)."""
     passes = default_passes()
     survivors: list[Finding] = []
     inline_suppressed = 0
-    unused: list[Finding] = []
     for sf in files:
         comments = _suppression_comments(sf)
         for check in passes.values():
@@ -251,12 +236,12 @@ def _collect(
             for comment in comments:
                 if not comment.used:
                     ids = ",".join(sorted(comment.tokens))
-                    unused.append(make_finding(
+                    survivors.append(make_finding(
                         "ET001", sf.display, comment.comment_line, 0,
                         f"unused suppression 'etlint: disable={ids}': no "
                         f"matching finding is anchored on line "
                         f"{comment.target_line}"))
-    return survivors, inline_suppressed, unused
+    return survivors, inline_suppressed
 
 
 def run_analysis(
@@ -273,13 +258,11 @@ def run_analysis(
     errors: list[str] = []
     files = load_files(paths, root, errors)
     ctx = build_context(files)
-    survivors, inline_suppressed, unused = _collect(files, ctx, rule_filter)
-    survivors.extend(unused)
+    survivors, inline_suppressed = _collect(files, ctx, rule_filter)
     survivors.sort(key=Finding.sort_key)
     return AnalysisReport(
         findings=survivors,
         files_scanned=len(files),
         suppressed_inline=inline_suppressed,
         parse_errors=errors,
-        unused_suppressions=len(unused),
     )

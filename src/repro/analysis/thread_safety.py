@@ -38,17 +38,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.callgraph import dotted_callee
+from repro.analysis.callgraph import LOCK_FACTORIES, dotted_callee, self_attr
 from repro.analysis.findings import Finding, make_finding
 
 if TYPE_CHECKING:
     from repro.analysis.runner import AnalysisContext, SourceFile
-
-#: Constructors whose result makes an attribute a lock for this pass.
-_LOCK_FACTORIES = frozenset({
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "Lock", "RLock", "Condition",
-})
 
 #: Exact method names that mutate a plain container in place.
 _MUTATORS = frozenset({
@@ -71,18 +65,10 @@ class _ClassInfo:
     attr_classes: dict[str, str] = field(default_factory=dict)
 
 
-def _self_attr(node: ast.expr) -> str | None:
-    """``X`` when ``node`` is ``self.X``, else ``None``."""
-    if isinstance(node, ast.Attribute) and \
-            isinstance(node.value, ast.Name) and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def _root_attr(node: ast.expr) -> str | None:
     """``X`` when ``node`` is ``self.X`` or ``self.X.Y...``, else ``None``."""
     while isinstance(node, ast.Attribute):
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             return attr
         node = node.value
@@ -99,10 +85,10 @@ def _classify(cls: ast.ClassDef) -> _ClassInfo:
             continue
         ctor = dotted_callee(value)
         for target in node.targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None or ctor is None:
                 continue
-            if ctor in _LOCK_FACTORIES:
+            if ctor in LOCK_FACTORIES:
                 info.lock_attrs.add(attr)
             elif "." not in ctor:
                 info.attr_classes[attr] = ctor
@@ -167,7 +153,7 @@ class _MethodChecker(ast.NodeVisitor):
 
     def _holds_lock(self, stmt: ast.With) -> bool:
         for item in stmt.items:
-            attr = _self_attr(item.context_expr)
+            attr = self_attr(item.context_expr)
             if attr is not None and attr in self.info.lock_attrs:
                 return True
         return False
@@ -190,7 +176,7 @@ class _MethodChecker(ast.NodeVisitor):
         node: ast.expr = target
         if isinstance(node, (ast.Subscript, ast.Starred)):
             node = node.value
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             out.append((node, attr))
         return out
@@ -245,7 +231,7 @@ class _MethodChecker(ast.NodeVisitor):
                 f"{ast.unparse(func)}(...) called on lock-less "
                 f"{owner_cls} outside 'with self.{locks}:'"))
         elif owner_cls is None and func.attr in _MUTATORS and \
-                _self_attr(func.value) is not None:
+                self_attr(func.value) is not None:
             # A plain container attribute (dict/list/deque/...).
             self._flag_write(func.value, owner)
 

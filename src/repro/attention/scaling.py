@@ -63,9 +63,9 @@ class OverflowStudy:
     @classmethod
     def run(cls, q: np.ndarray, k: np.ndarray) -> "OverflowStudy":
         """Measure all four designs on head-major (H, s, d_k) activations."""
-        # Measuring the un-reordered regime is this study's purpose.
-        post = overflow_heatmap(q, k, scale_first=False,  # etlint: disable=ET202
-                                accumulate="fp16")
+        # Measuring the un-reordered, pure-FP16 regime (the one that
+        # overflows) is this study's purpose.
+        post = overflow_heatmap(q, k, scale_first=False, accumulate="fp16")
         pre = overflow_heatmap(q, k, scale_first=True, accumulate="fp16")
         mixed = overflow_heatmap(q, k, scale_first=False, accumulate="fp32")
         bf16 = overflow_heatmap(q, k, scale_first=False, accumulate="bf16")

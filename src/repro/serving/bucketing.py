@@ -1,12 +1,18 @@
-"""Sequence-length bucket policies aligned to the adaptive-attention crossover.
+"""Sequence-length bucket policies aligned to the full/partial-OTF crossover.
 
 The dynamic batcher only groups requests that fall in the same bucket, so the
 bucket edges decide which sequence lengths can share a batch. Every policy
-here forces the full/partial-OTF crossover (seqLen ≈ 224 for BERT_BASE head
-geometry, Section 5.2.2) to be a bucket edge: a batch therefore never mixes
-sequences the adaptive attention would run with *different* operators, which
-keeps per-batch kernel schedules homogeneous (one regime per dispatch) and
-the padding waste bounded by the bucket width.
+here forces the cost model's full/partial-OTF crossover
+(:func:`model_crossover`, seqLen ≈ 224–240 for BERT_BASE head geometry,
+Section 5.2.2) to be a bucket edge, and the bucket width bounds the padding
+waste on either side of it.
+
+The edge does not keep attention operators apart: the engine's
+``select_attention`` picks among full OTF, partial OTF and flash per length
+and, for BERT-class models, switches to flash below this edge (BERT_BASE at
+80% sparsity: flash from seqLen 208, edge 240), so one batch can mix OTF and
+flash members. Numerics are unaffected, because each member runs its own
+forward pass with its own choice.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ class BucketPolicy:
 
     ``edges`` are ascending inclusive upper bounds; the first bucket is
     ``(0, edges[0]]``. When ``crossover`` is set it must appear in ``edges``,
-    which is exactly the no-straddle guarantee: no bucket contains lengths
-    from both sides of the full/partial-OTF switch.
+    so no bucket contains lengths from both sides of the cost model's
+    full/partial-OTF crossover. That is not where the engine switches
+    operators (see the module docstring): a bucket can still mix them.
     """
 
     name: str

@@ -88,6 +88,15 @@ class TestFp16Matmul:
         assert rep32.overflow_mask.all()
         assert np.isfinite(rep32.result).all()
 
+    def test_partial_sum_overflow_stays_flagged(self):
+        # 60000 + 60000 leaves FP16 range before the -60000 term brings the
+        # exact sum back to 60000: the pure-FP16 accumulator saturates on
+        # the partial sum, which a check of the final sum alone would miss.
+        a = np.array([[60000.0, 60000.0, -60000.0]])
+        b = np.ones((3, 1))
+        assert fp16_matmul(a, b, accumulate="fp16").overflow_mask.all()
+        assert not fp16_matmul(a, b, accumulate="fp32").overflow_mask.any()
+
     def test_fp32_accumulate_matches_reference(self, rng):
         a = rng.standard_normal((4, 16))
         b = rng.standard_normal((16, 3))

@@ -26,6 +26,7 @@ from repro.obs.events import TERMINAL_KINDS, EventLog, read_events, \
 from repro.obs.prometheus import prometheus_text
 from repro.pruning import PruneMethod
 from repro.runtime import EncoderWeights, ETEngine
+import repro.runtime.shm as shm_mod
 from repro.runtime.shm import SharedWeightStore, segment_exists
 from repro.serving import AsyncServer, MetricsRegistry, make_policy, \
     model_crossover
@@ -137,6 +138,51 @@ class TestSharedWeightStore:
         store.unlink()
         with pytest.raises(FileNotFoundError):
             SharedWeightStore.attach(manifest)
+
+    def test_fill_failure_closes_and_unlinks_the_segment(
+            self, pruned_weights, monkeypatch):
+        mapped = []
+
+        class Recording(shm_mod.shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                mapped.append(self)
+
+        real_layout = shm_mod._layout
+
+        def misfit_layout(weights):
+            arrays, entries, total = real_layout(weights)
+            key, a = arrays[-1]
+            arrays[-1] = (key, np.ones(a.size + 1))  # cannot fill its slot
+            return arrays, entries, total
+
+        monkeypatch.setattr(shm_mod.shared_memory, "SharedMemory", Recording)
+        monkeypatch.setattr(shm_mod, "_layout", misfit_layout)
+        name = f"repro_fill_fail_{os.getpid()}"
+        with pytest.raises(ValueError):
+            SharedWeightStore.create(pruned_weights, name=name)
+        segment = mapped[0]
+        assert segment.buf is None  # the creator's mapping is closed
+        assert not segment_exists(name)
+
+    def test_unlink_closes_its_probe_when_the_segment_vanished(
+            self, pruned_weights, monkeypatch):
+        store = SharedWeightStore.create(pruned_weights)
+        name = store.manifest.segment
+        store.close()
+        probes = []
+        real_attach = shm_mod._attach_untracked
+
+        def attach_then_vanish(segment):
+            probe = real_attach(segment)
+            probe.unlink()  # an external cleanup wins the race
+            probes.append(probe)
+            return probe
+
+        monkeypatch.setattr(shm_mod, "_attach_untracked", attach_then_vanish)
+        store.unlink()  # the probe's own unlink raises FileNotFoundError
+        assert probes[0].buf is None  # ...and the probe is closed anyway
+        assert not segment_exists(name)
 
 
 # ---- admission (no processes) ----------------------------------------------
