@@ -5,9 +5,9 @@ table should show:
 
 - higher arrival rates fill batches (mean batch size grows toward
   ``--max-batch``) and raise tail latency once the worker pool saturates;
-- finer crossover-aligned bucket policies trade batch fullness for less
-  length spread inside a batch; every policy keeps the full/partial-OTF
-  regimes unmixed (the crossover is always a bucket edge).
+- finer bucket policies trade batch fullness for less length spread
+  inside a batch; every policy makes each of the engine's attention
+  switches a bucket edge, so no batch mixes attention operators.
 
 Besides the pytest-benchmark sweep, ``python benchmarks/bench_serving.py
 --json`` writes ``BENCH_serving.json`` at the repo root: the loadgen
@@ -46,14 +46,12 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from repro.eval.format import render_table  # noqa: E402
-from repro.serving import (  # noqa: E402
-    AsyncServer,
-    LoadgenSpec,
-    make_policy,
-    model_crossover,
-    run_loadgen,
+from repro.serving import AsyncServer, LoadgenSpec, run_loadgen  # noqa: E402
+from repro.serving.loadgen import (  # noqa: E402
+    build_engine,
+    build_payloads,
+    build_policy,
 )
-from repro.serving.loadgen import build_engine, build_payloads  # noqa: E402
 from repro.serving.pool import build_pool_server, drive_server  # noqa: E402
 
 from _util import emit, once  # noqa: E402
@@ -244,15 +242,12 @@ def measure_pool_vs_thread(model: str = "small", n_workers: int = 2,
     """
     spec = _pool_spec(model, n_workers)
     payloads = build_payloads(spec)
-    cfg = spec.model_config()
     engines = [build_engine(spec) for _ in range(n_workers)]
-    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
-                                device=engines[0].device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    policy = build_policy(spec, engines[0], max(payloads))
     thread_server = AsyncServer(engines, policy, max_batch=spec.max_batch,
                                 max_wait_us=spec.max_wait_us,
                                 max_depth=spec.max_depth)
-    pool_server, pool_payloads, _, _ = build_pool_server(spec, n_workers)
+    pool_server, pool_payloads, _ = build_pool_server(spec, n_workers)
     arms = {"thread": (thread_server, payloads),
             "pool": (pool_server, pool_payloads)}
     times: dict[str, list[float]] = {"thread": [], "pool": []}

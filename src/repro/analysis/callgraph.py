@@ -7,7 +7,9 @@ pass needs to follow such calls:
 - :class:`SymbolTable` — every function, class, method, per-class lock
   attributes (with ``Condition(self._lock)`` unified into one lock
   group), collaborator attribute types from ``__init__`` construction,
-  module-level locks and instances, and per-module import aliases;
+  module-level locks and instances, and per-module import aliases. A
+  class also holds the locks and collaborators of its scanned bases, and
+  each lock is owned by the class that defines it;
 - :func:`resolve_call` — the scanned function a call provably targets
   (``self.m()``, ``self.attr.m()`` through the attribute's constructed
   class, bare names through imports, ``var.m()`` through a local
@@ -80,12 +82,15 @@ class ClassInfo:
 
     name: str
     module: str
+    bases: list[str] = field(default_factory=list)
     methods: dict[str, FuncNode] = field(default_factory=dict)
     #: lock attr -> canonical group representative (Condition-over-lock
     #: attributes share their underlying lock's group)
     lock_group: dict[str, str] = field(default_factory=dict)
     #: canonical lock attr -> factory kind ("Lock"/"RLock"/"Condition")
     lock_kind: dict[str, str] = field(default_factory=dict)
+    #: canonical lock attr -> the class defining it (self, or a base)
+    lock_owner: dict[str, str] = field(default_factory=dict)
     #: attribute name -> class name it was constructed from
     attr_classes: dict[str, str] = field(default_factory=dict)
 
@@ -106,7 +111,9 @@ class FunctionInfo:
 
 
 def _classify_class(cls: ast.ClassDef, module: str) -> ClassInfo:
-    info = ClassInfo(name=cls.name, module=module)
+    bases = [b.id if isinstance(b, ast.Name) else b.attr
+             for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
+    info = ClassInfo(name=cls.name, module=module, bases=bases)
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.methods[stmt.name] = stmt
@@ -144,7 +151,29 @@ def _classify_class(cls: ast.ClassDef, module: str) -> ClassInfo:
             root = info.lock_group[root]
         info.lock_group[attr] = root
         info.lock_kind.setdefault(root, info.lock_kind.get(attr, "Lock"))
+        info.lock_owner[root] = info.name
     return info
+
+
+def _inherit(table: "SymbolTable", name: str,
+             seen: frozenset[str] = frozenset()) -> None:
+    """Merge scanned bases' locks and collaborators into class ``name``.
+
+    A lock defined by a base stays owned by it, so a base method and a
+    subclass method that take ``self._lock`` acquire one lock node.
+    """
+    info = table.classes[name]
+    seen = seen | {name}
+    for base in info.bases:
+        parent = table.classes.get(base)
+        if parent is None or base in seen:
+            continue
+        _inherit(table, base, seen)
+        for attr, root in parent.lock_group.items():
+            info.lock_group.setdefault(attr, root)
+        info.lock_owner.update(parent.lock_owner)
+        for attr, owner in parent.attr_classes.items():
+            info.attr_classes.setdefault(attr, owner)
 
 
 @dataclass
@@ -222,6 +251,8 @@ def build_symbols(files: Iterable["SourceFile"]) -> SymbolTable:
             table.module_locks[sf.module] = locks
         if instances:
             table.instances[sf.module] = instances
+    for name in table.classes:
+        _inherit(table, name)
     return table
 
 

@@ -1,7 +1,7 @@
 """Pass 6 — lock-order deadlock detection (ET601/ET602).
 
 Builds the project's **lock-acquisition order graph**: a node per lock
-(``(OwnerClass, canonical_attr)``, with ``Condition(self._lock)``
+(``(DefiningClass, canonical_attr)``, with ``Condition(self._lock)``
 attributes unified onto their underlying lock, or ``(module, name)`` for
 module-level locks), and an edge ``A → B`` wherever code acquires ``B``
 while holding ``A`` — directly via nested ``with`` statements, or
@@ -89,7 +89,7 @@ class _LockModel:
             if cls is not None:
                 canon = cls.canonical_lock(expr.attr)
                 if canon is not None:
-                    return (info.cls, canon)
+                    return (cls.lock_owner[canon], canon)
         if isinstance(expr, ast.Name) \
                 and expr.id in self.table.module_locks.get(info.module, ()):
             return (info.module, expr.id)

@@ -25,13 +25,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.analysis.callgraph import SymbolTable, build_symbols
 from repro.analysis.findings import Finding, make_finding
-
-if TYPE_CHECKING:
-    from repro.analysis.thread_safety import ClassIndex
 
 _DISABLE_RE = re.compile(r"#\s*etlint:\s*disable=([A-Za-z0-9_,]+)")
 
@@ -51,7 +48,6 @@ class SourceFile:
 class AnalysisContext:
     """Cross-file facts shared by every pass."""
 
-    classes: ClassIndex
     symbols: SymbolTable
     #: per-run memo space for project-wide passes (computed once,
     #: reported per file) — keyed by pass name
@@ -127,12 +123,7 @@ def load_files(paths: Sequence[Path], root: Path,
 
 def build_context(files: list[SourceFile]) -> AnalysisContext:
     """Assemble the shared static context from the parsed files."""
-    from repro.analysis.thread_safety import index_classes
-
-    return AnalysisContext(
-        classes=index_classes([sf.tree for sf in files]),
-        symbols=build_symbols(files),
-    )
+    return AnalysisContext(symbols=build_symbols(files))
 
 
 def default_passes() -> dict[str, PassFn]:

@@ -6,9 +6,10 @@ pass stop matching and CI goes green forever after. The lock-order pass
 nothing — the tree has no lock-order edges — so ``--selftest``
 synthesizes a fixture in a temp directory holding one certain ET601
 deadlock (two locks taken in opposite orders, one direction through a
-resolved call), runs the full pipeline over it, and fails unless the
-pass reports it. CI runs this before the real lint so a lobotomized
-analyzer fails the build instead of passing it.
+resolved call, one lock inherited from a base class), runs the full
+pipeline over it, and fails unless the pass reports it. CI runs this
+before the real lint so a lobotomized analyzer fails the build instead
+of passing it.
 """
 
 from __future__ import annotations
@@ -21,28 +22,34 @@ DEADLOCK_FIXTURE = '''\
 
 One direction is a nested ``with``; the other goes through a resolved
 call, so the selftest exercises the call graph and the transitive
-acquisition closure, not just the syntactic walker.
+acquisition closure, not just the syntactic walker. The journal lock is
+defined by ``Journal`` and taken by its subclass ``Books``: the cycle
+closes only if a subclass sees its base's lock as the same lock node.
 """
 import threading
 
-JOURNAL_LOCK = threading.Lock()
 LEDGER_LOCK = threading.Lock()
 
 
-def post():
-    with JOURNAL_LOCK:
-        with LEDGER_LOCK:
-            pass
-
-
 def _settle():
-    with JOURNAL_LOCK:
+    with LEDGER_LOCK:
         pass
 
 
-def reconcile():
-    with LEDGER_LOCK:
-        _settle()
+class Journal:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def reconcile(self):
+        with LEDGER_LOCK:
+            with self._lock:
+                pass
+
+
+class Books(Journal):
+    def post(self):
+        with self._lock:
+            _settle()
 '''
 
 
@@ -60,7 +67,7 @@ def run_selftest() -> list[str]:
         if "ET601" not in rules:
             failures.append(
                 "ET601 pass failed to report the synthetic Ledger/Journal "
-                "lock-order cycle")
+                "lock-order cycle through an inherited lock")
         if report.parse_errors:
             failures.extend(f"selftest fixture parse error: {err}"
                             for err in report.parse_errors)

@@ -22,8 +22,10 @@ that contract:
   owner's lock too, whatever the method is named: an unguarded read of
   a non-thread-safe object races as well — ET402.
 
-A class inherits the lock and collaborator attributes its scanned base
-classes assign (the live servers share their condition and their
+The pass reads the classes of the shared symbol table
+(:mod:`repro.analysis.callgraph`), where a class inherits the lock and
+collaborator attributes its scanned base classes assign (the live
+servers share their condition and their
 :class:`~repro.serving.core.ServingCore` through
 :class:`~repro.serving.server.LiveServer`).
 
@@ -35,10 +37,9 @@ is exactly what ET402 checks from the owner's side.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.callgraph import LOCK_FACTORIES, dotted_callee, self_attr
+from repro.analysis.callgraph import ClassInfo, SymbolTable, self_attr
 from repro.analysis.findings import Finding, make_finding
 
 if TYPE_CHECKING:
@@ -55,16 +56,6 @@ _MUTATORS = frozenset({
 _EXEMPT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-@dataclass
-class _ClassInfo:
-    """What the pass needs to know about one class definition."""
-
-    node: ast.ClassDef
-    lock_attrs: set[str] = field(default_factory=set)
-    #: attribute name -> class name it was constructed from
-    attr_classes: dict[str, str] = field(default_factory=dict)
-
-
 def _root_attr(node: ast.expr) -> str | None:
     """``X`` when ``node`` is ``self.X`` or ``self.X.Y...``, else ``None``."""
     while isinstance(node, ast.Attribute):
@@ -75,77 +66,14 @@ def _root_attr(node: ast.expr) -> str | None:
     return None
 
 
-def _classify(cls: ast.ClassDef) -> _ClassInfo:
-    info = _ClassInfo(node=cls)
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Call):
-            continue
-        ctor = dotted_callee(value)
-        for target in node.targets:
-            attr = self_attr(target)
-            if attr is None or ctor is None:
-                continue
-            if ctor in LOCK_FACTORIES:
-                info.lock_attrs.add(attr)
-            elif "." not in ctor:
-                info.attr_classes[attr] = ctor
-    return info
-
-
-def collect_classes(tree: ast.Module) -> list[_ClassInfo]:
-    """Classify every top-level (or nested) class definition in a module."""
-    return [_classify(node) for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)]
-
-
-def _base_names(cls: ast.ClassDef) -> list[str]:
-    return [b.id if isinstance(b, ast.Name) else b.attr
-            for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
-
-
-@dataclass
-class ClassIndex:
-    """Every scanned class by name, and which of them own no lock."""
-
-    raw: dict[str, _ClassInfo]
-    lockless: set[str] = field(default_factory=set)
-
-    def inherit(self, info: _ClassInfo,
-                seen: frozenset[str] = frozenset()) -> _ClassInfo:
-        """``info`` with its scanned bases' locks and attributes."""
-        seen = seen | {info.node.name}
-        merged = _ClassInfo(node=info.node, lock_attrs=set(info.lock_attrs))
-        for base in _base_names(info.node):
-            parent = self.raw.get(base)
-            if parent is None or base in seen:
-                continue
-            up = self.inherit(parent, seen)
-            merged.lock_attrs |= up.lock_attrs
-            merged.attr_classes.update(up.attr_classes)
-        merged.attr_classes.update(info.attr_classes)
-        return merged
-
-
-def index_classes(trees: list[ast.Module]) -> ClassIndex:
-    """Index the scanned classes and note the lock-less ones."""
-    index = ClassIndex(raw={info.node.name: info for tree in trees
-                            for info in collect_classes(tree)})
-    index.lockless = {name for name, info in index.raw.items()
-                      if not index.inherit(info).lock_attrs}
-    return index
-
-
 class _MethodChecker(ast.NodeVisitor):
     """Walks one method body tracking ``with self.<lock>`` nesting."""
 
-    def __init__(self, sf: "SourceFile", info: _ClassInfo,
-                 classes: ClassIndex) -> None:
+    def __init__(self, sf: "SourceFile", info: ClassInfo,
+                 table: SymbolTable) -> None:
         self.sf = sf
         self.info = info
-        self.classes = classes
+        self.table = table
         self.depth = 0
         self.findings: list[Finding] = []
 
@@ -154,7 +82,7 @@ class _MethodChecker(ast.NodeVisitor):
     def _holds_lock(self, stmt: ast.With) -> bool:
         for item in stmt.items:
             attr = self_attr(item.context_expr)
-            if attr is not None and attr in self.info.lock_attrs:
+            if attr is not None and attr in self.info.lock_group:
                 return True
         return False
 
@@ -182,13 +110,13 @@ class _MethodChecker(ast.NodeVisitor):
         return out
 
     def _flag_write(self, node: ast.expr, attr: str) -> None:
-        if self.depth > 0 or attr in self.info.lock_attrs:
+        if self.depth > 0 or attr in self.info.lock_group:
             return
-        locks = "/".join(sorted(self.info.lock_attrs))
+        locks = "/".join(sorted(self.info.lock_group))
         self.findings.append(make_finding(
             "ET401", self.sf.display, node.lineno, node.col_offset,
             f"self.{attr} written outside 'with self.{locks}:' in "
-            f"{self.info.node.name}"))
+            f"{self.info.name}"))
 
     def _check_targets(self, targets: list[ast.expr]) -> None:
         for target in targets:
@@ -221,11 +149,12 @@ class _MethodChecker(ast.NodeVisitor):
     def _check_method_call(self, node: ast.Call,
                            func: ast.Attribute) -> None:
         owner = _root_attr(func.value)
-        if owner is None or owner in self.info.lock_attrs:
+        if owner is None or owner in self.info.lock_group:
             return
         owner_cls = self.info.attr_classes.get(owner)
-        if owner_cls in self.classes.lockless:
-            locks = "/".join(sorted(self.info.lock_attrs))
+        collaborator = self.table.classes.get(owner_cls or "")
+        if collaborator is not None and not collaborator.lock_group:
+            locks = "/".join(sorted(self.info.lock_group))
             self.findings.append(make_finding(
                 "ET402", self.sf.display, node.lineno, node.col_offset,
                 f"{ast.unparse(func)}(...) called on lock-less "
@@ -240,17 +169,16 @@ def check_thread_safety(sf: "SourceFile",
                         ctx: "AnalysisContext") -> list[Finding]:
     """Run the race detector over one file's lock-owning classes."""
     findings: list[Finding] = []
-    for own in collect_classes(sf.tree):
-        info = ctx.classes.inherit(own)
-        if not info.lock_attrs:
+    for stmt in sf.tree.body:
+        info = (ctx.symbols.classes.get(stmt.name)
+                if isinstance(stmt, ast.ClassDef) else None)
+        if info is None or not info.lock_group:
             continue
-        for stmt in own.node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for name, method in info.methods.items():
+            if name in _EXEMPT_METHODS:
                 continue
-            if stmt.name in _EXEMPT_METHODS:
-                continue
-            checker = _MethodChecker(sf, info, ctx.classes)
-            for body_stmt in stmt.body:
+            checker = _MethodChecker(sf, info, ctx.symbols)
+            for body_stmt in method.body:
                 checker.visit(body_stmt)
             findings.extend(checker.findings)
     return findings

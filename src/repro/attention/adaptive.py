@@ -39,6 +39,21 @@ def _estimate_us(ctx: ExecContext, impl, q, k, v, mask, **kwargs) -> float:
     return scratch.tl.total_time_us
 
 
+def attention_choice(ctx: ExecContext, num_heads: int, seq_len: int,
+                     d_k: int, v_width: int, has_mask: bool) -> str:
+    """The autotuner's winner for one attention call priced in ``ctx``.
+
+    The one place a dispatch key is built: :func:`select_attention` and
+    ``ETEngine.attention_regimes`` both ask here, so they cannot disagree
+    (lazy import: ``repro.runtime`` imports this module at package init).
+    """
+    from repro.runtime.autotune import AttentionKey, autotune_attention
+
+    return autotune_attention(
+        AttentionKey(ctx.device.name, num_heads, seq_len, d_k, v_width,
+                     has_mask, ctx.bytes_per_elem, ctx.tensor_core))
+
+
 def select_attention(
     ctx: ExecContext,
     q: np.ndarray,
@@ -50,16 +65,11 @@ def select_attention(
     """Run whichever attention variant the cost model predicts is fastest.
 
     Returns ``(z, chosen)`` with ``chosen`` in ``{"otf", "partial_otf",
-    "flash"}``. The decision comes from the autotuner's tune cache (lazy
-    import — ``repro.runtime`` imports this module at package init).
+    "flash"}``, the decision of :func:`attention_choice`.
     """
-    from repro.runtime.autotune import AttentionKey, autotune_attention
-
     h, s, d_k = q.shape
     v_width = effective_v_width if effective_v_width is not None else v.shape[2]
-    choice = autotune_attention(
-        AttentionKey(ctx.device.name, h, s, d_k, v_width, mask is not None,
-                     ctx.bytes_per_elem, ctx.tensor_core))
+    choice = attention_choice(ctx, h, s, d_k, v_width, mask is not None)
     kw = {"effective_v_width": effective_v_width}
     impls = {
         "otf": otf_attention,
@@ -98,10 +108,10 @@ def otf_crossover_seqlen(
 
     The paper's original two-way comparison (flash excluded), used by the
     Fig. 8 bench to verify the crossover lands near 224 for the BERT_BASE
-    head geometry and by :func:`repro.serving.bucketing.model_crossover`
-    to align bucket edges. Both sides are priced with their cost-only
-    estimators, so the sweep runs no attention numerics; the tests check
-    it against :func:`_estimate_us` at every probed length.
+    head geometry. The engine switches at the three-way winner
+    (:func:`attention_choice`) instead. Both sides are priced with their
+    cost-only estimators, so the sweep runs no attention numerics; the
+    tests check it against :func:`_estimate_us` at every probed length.
     """
     return next((s for s, t in _modeled_us(ctx, num_heads, d_k, seq_lens,
                                            with_mask)

@@ -282,7 +282,7 @@ def _run_pool(args) -> str:
 
     spec = _loadgen_spec(args)
     events = _make_events(args)
-    server, payloads, policy, crossover = build_pool_server(
+    server, payloads, policy = build_pool_server(
         spec, args.workers, max_inflight_per_tenant=args.tenant_quota,
         events=events)
     with server:
@@ -291,17 +291,15 @@ def _run_pool(args) -> str:
     mib = float(snap["shm_bytes"]) / 2**20
     if args.experiment == "loadgen":
         report = _render_report(LoadgenResult(
-            spec=spec, policy=policy, crossover=crossover,
-            responses=responses, metrics=server.metrics,
-            engine=server.engine, slo=server.slo))
+            spec=spec, policy=policy, responses=responses,
+            metrics=server.metrics, engine=server.engine, slo=server.slo))
         report += (f"\n[pool backend: {args.workers} replica processes, "
                    f"{mib:.2f} MiB shared weights]")
     else:
         report = _serve_table(
             args, spec, f"{args.workers} replica processes",
-            ["replica processes", args.workers], policy, crossover,
-            server.metrics, responses,
-            [["shared weights MiB", round(mib, 2)]])
+            ["replica processes", args.workers], server, server.engine,
+            responses, [["shared weights MiB", round(mib, 2)]])
     return "\n".join([report] + _write_observability(
         args, server.engine, server.metrics, events, pool=snap))
 
@@ -317,24 +315,15 @@ def cmd_serve(args) -> str:
     the identical workload: replica processes sharing one read-only
     weight segment behind the same futures API.
     """
-    from repro.serving import (
-        AsyncServer,
-        build_engine,
-        make_policy,
-        make_slo_policy,
-        model_crossover,
-    )
-    from repro.serving.loadgen import build_payloads, drive_server
+    from repro.serving import AsyncServer, build_engine, make_slo_policy
+    from repro.serving.loadgen import build_payloads, build_policy, drive_server
 
     if args.workers > 0:
         return _run_pool(args)
     spec = _loadgen_spec(args)
-    cfg = spec.model_config()
     engines = [build_engine(spec) for _ in range(spec.workers)]
     payloads = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
-                                device=engines[0].device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    policy = build_policy(spec, engines[0], max(payloads))
     events = _make_events(args)
     server = AsyncServer(engines, policy, max_batch=spec.max_batch,
                          max_wait_us=spec.max_wait_us,
@@ -343,21 +332,23 @@ def cmd_serve(args) -> str:
     with server:
         responses = drive_server(server, spec, payloads, timeout_s=60.0)
     report = _serve_table(args, spec, "live threads",
-                          ["workers", spec.workers], policy, crossover,
-                          server.metrics, responses)
+                          ["workers", spec.workers], server, engines[0],
+                          responses)
     return "\n".join([report] + _write_observability(
         args, engines[0], server.metrics, events))
 
 
-def _serve_table(args, spec, backend, workers_row, policy, crossover, m,
+def _serve_table(args, spec, backend, workers_row, server, engine,
                  responses, extra_rows=()) -> str:
     """The ``serve`` report table, shared by the thread and pool paths."""
     from repro.eval.format import percentile_rows
+    from repro.serving.loadgen import bucket_rows
 
+    m = server.metrics
     rows = [
         ["engine", spec.engine],
         workers_row,
-        ["bucket policy", f"{policy.name} (crossover={crossover})"],
+        *bucket_rows(server.policy, engine),
         ["completed", sum(r.ok for r in responses)],
         ["rejected", m.rejected],
         *extra_rows,
@@ -637,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="granularity of workload sequence lengths")
     s.add_argument("--bucket-policy", default="fine64", dest="policy",
                    choices=["single", "fine32", "fine64"],
-                   help="crossover-aligned bucket policy")
+                   help="bucket width (each attention switch is an edge)")
     s.add_argument("--serve-workers", type=int, default=2,
                    dest="serve_workers",
                    help="engine worker threads (AsyncServer) or virtual "

@@ -122,6 +122,19 @@ class Engine:
         """Execute one encoder layer, recording its kernels into ``ctx``."""
         raise NotImplementedError  # pragma: no cover
 
+    def attention_regimes(self, max_seq_len: int) -> list[tuple[int, str]]:
+        """Where this engine's attention operator changes with length.
+
+        Runs ``(last_len, choice)`` in ascending order that cover every
+        length from 1 to ``max_seq_len``: lengths up to the first
+        ``last_len`` run its ``choice``, and so on. The serving layer
+        makes every run's end a bucket edge, so no batch mixes attention
+        operators. A baseline engine has one attention path, so one run.
+        """
+        if max_seq_len < 1:
+            raise ValueError(f"max_seq_len must be >= 1: {max_seq_len}")
+        return [(max_seq_len, self.name)]
+
     # -- derived, cached state -----------------------------------------------
 
     def clear_caches(self) -> None:

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from repro.attention.adaptive import select_attention
+from repro.attention.adaptive import attention_choice, select_attention
 from repro.attention.precompute import (
     condense_folded,
     fold_vo,
@@ -141,6 +142,42 @@ class ETEngine(Engine):
         return ExecContext(tl=tl, bytes_per_elem=2, tensor_core=True,
                            elementwise_pattern=MemPattern.STREAM)
 
+    def _effective_v_width(self, layer_idx: int) -> int | None:
+        """Per-head V width a row-pruned W_V leaves (``None``: unpruned)."""
+        v_kept = self._layers[layer_idx].v_kept
+        if v_kept is None:
+            return None
+        return max(1, math.ceil(v_kept / self.weights.config.num_heads))
+
+    def attention_regimes(self, max_seq_len: int) -> list[tuple[int, str]]:
+        """See :meth:`repro.runtime.engine.Engine.attention_regimes`.
+
+        Every length from 1 to ``max_seq_len`` is priced with the key
+        :meth:`run` dispatches on without a mask (serving requests carry
+        none). A length whose layers choose differently is labelled with
+        the per-layer choices joined by ``+``.
+        """
+        if self.precompute:
+            raise ValueError(
+                "attention_regimes does not model the precomputed "
+                "(folded W_V·W_O) attention path")
+        if max_seq_len < 1:
+            raise ValueError(f"max_seq_len must be >= 1: {max_seq_len}")
+        cfg = self.weights.config
+        ctx = self.make_ctx(Timeline(self.device))
+        widths = [self._effective_v_width(i) or cfg.d_head
+                  for i in range(len(self._layers))]
+
+        def choice_at(s: int) -> str:
+            per_layer = [attention_choice(ctx, cfg.num_heads, s, cfg.d_head,
+                                          vw, has_mask=False)
+                         for vw in widths]
+            return (per_layer[0] if len(set(per_layer)) == 1
+                    else "+".join(per_layer))
+
+        return [(max(lens), choice) for choice, lens
+                in groupby(range(1, max_seq_len + 1), key=choice_at)]
+
     def _algo(self, m: int, n: int, k: int):
         return autotune_gemm_algo(m, n, k, device=self.device)
 
@@ -240,11 +277,9 @@ class ETEngine(Engine):
         v = self._linear(ctx, x, layer_idx, "wv", lw.bv, masked_full=True,
                          tag="step1_qkv")
 
-        eff_vw = (max(1, math.ceil(compiled.v_kept / h))
-                  if compiled.v_kept is not None else None)
         z, chosen = select_attention(
             ctx, split_heads(q, h), split_heads(k, h), split_heads(v, h),
-            mask, effective_v_width=eff_vw,
+            mask, effective_v_width=self._effective_v_width(layer_idx),
         )
         choices[f"layer{layer_idx}.attention"] = chosen
 

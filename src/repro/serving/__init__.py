@@ -2,9 +2,9 @@
 
 The pipeline (the ROADMAP's traffic-scaling track)::
 
-    Request --> DynamicBatcher ------------------> EngineWorker pool
-    (admit /    (one FIFO per length bucket;       (Engine.run_batch,
-     reject)     buckets aligned to the crossover)  cost-model service)
+    Request --> DynamicBatcher ----------------------> EngineWorker pool
+    (admit /    (one FIFO per length bucket;           (Engine.run_batch,
+     reject)     engine's attention switches as edges) cost-model service)
 
 :class:`~repro.serving.core.ServingCore` owns the batcher (the one
 pending store) and the recorders (metrics, event log) and records every

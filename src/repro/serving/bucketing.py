@@ -1,24 +1,19 @@
-"""Sequence-length bucket policies aligned to the full/partial-OTF crossover.
+"""Sequence-length bucket policies whose edges include the engine's switches.
 
 The dynamic batcher only groups requests that fall in the same bucket, so the
-bucket edges decide which sequence lengths can share a batch. Every policy
-here forces the cost model's full/partial-OTF crossover
-(:func:`model_crossover`, seqLen ≈ 224–240 for BERT_BASE head geometry,
-Section 5.2.2) to be a bucket edge, and the bucket width bounds the padding
-waste on either side of it.
-
-The edge does not keep attention operators apart: the engine's
-``select_attention`` picks among full OTF, partial OTF and flash per length
-and, for BERT-class models, switches to flash below this edge (BERT_BASE at
-80% sparsity: flash from seqLen 208, edge 240), so one batch can mix OTF and
-flash members. Numerics are unaffected, because each member runs its own
-forward pass with its own choice.
+bucket edges decide which sequence lengths can share a batch. Only the
+engine knows where its attention operator (full OTF, partial OTF or flash)
+changes with length: ``Engine.attention_regimes``. The serving drivers pass
+each of its switches to :func:`make_policy`, which makes it a bucket edge.
+So every length of a bucket runs one attention operator, no batch mixes
+operators, and the bucket width bounds the padding waste around a switch.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.attention.adaptive import PAPER_THRESHOLD, otf_crossover_seqlen
 from repro.gpu.counters import Timeline
@@ -26,7 +21,7 @@ from repro.gpu.device import DeviceSpec
 from repro.ops.context import fp16_ctx
 
 #: Named policies accepted by the CLI and the serving bench: bucket width
-#: below/above the crossover ("single" = one bucket per crossover side).
+#: between switches ("single" = one bucket per attention regime).
 POLICY_WIDTHS = {"single": None, "fine32": 32, "fine64": 64}
 
 
@@ -35,15 +30,11 @@ class BucketPolicy:
     """Half-open length buckets ``(edges[i-1], edges[i]]`` over seq lengths.
 
     ``edges`` are ascending inclusive upper bounds; the first bucket is
-    ``(0, edges[0]]``. When ``crossover`` is set it must appear in ``edges``,
-    so no bucket contains lengths from both sides of the cost model's
-    full/partial-OTF crossover. That is not where the engine switches
-    operators (see the module docstring): a bucket can still mix them.
+    ``(0, edges[0]]``.
     """
 
     name: str
     edges: tuple[int, ...]
-    crossover: int | None = None
 
     def __post_init__(self) -> None:
         if not self.edges:
@@ -52,12 +43,6 @@ class BucketPolicy:
             raise ValueError(f"edges must be positive: {self.edges}")
         if list(self.edges) != sorted(set(self.edges)):
             raise ValueError(f"edges must be strictly ascending: {self.edges}")
-        if (self.crossover is not None
-                and self.crossover < self.edges[-1]
-                and self.crossover not in self.edges):
-            raise ValueError(
-                f"crossover {self.crossover} straddled by edges {self.edges}"
-            )
 
     @property
     def num_buckets(self) -> int:
@@ -84,33 +69,15 @@ class BucketPolicy:
         lo = 0 if bucket == 0 else self.edges[bucket - 1]
         return f"({lo},{self.edges[bucket]}]"
 
-    @classmethod
-    def crossover_aligned(cls, crossover: int, max_seq_len: int,
-                          width: int | None = None,
-                          name: str | None = None) -> "BucketPolicy":
-        """Buckets of ``width`` with the crossover forced in as an edge.
-
-        ``width=None`` gives the coarsest aligned policy: one bucket per
-        crossover side. The last edge is always ``max_seq_len``.
-        """
-        edges = {max_seq_len}
-        if 0 < crossover < max_seq_len:
-            edges.add(crossover)
-        if width is not None:
-            edges.update(e for e in range(width, max_seq_len, width))
-        xo = crossover if crossover <= max_seq_len else None
-        return cls(name=name or (f"fine{width}" if width else "single"),
-                   edges=tuple(sorted(edges)), crossover=xo)
-
 
 def model_crossover(num_heads: int, d_head: int, max_seq_len: int,
                     device: DeviceSpec | None = None) -> int:
     """The cost-model crossover for a head geometry (paper's 224 fallback).
 
-    Sweeps the same estimator the engine's adaptive dispatch uses
-    (:func:`repro.attention.adaptive.otf_crossover_seqlen`); when no switch
-    happens inside the admissible range, the paper's fixed threshold is
-    returned so policies stay well-defined for short-sequence deployments.
+    Sweeps the two-way full/partial-OTF comparison
+    (:func:`repro.attention.adaptive.otf_crossover_seqlen`), falling back
+    to the paper's threshold when no switch lies in range. It is not the
+    engine's three-way dispatch, and no serving driver here uses it.
     """
     ctx = fp16_ctx(Timeline(device))
     xo = otf_crossover_seqlen(ctx, num_heads, d_head,
@@ -119,11 +86,22 @@ def model_crossover(num_heads: int, d_head: int, max_seq_len: int,
     return xo if xo is not None else PAPER_THRESHOLD
 
 
-def make_policy(policy: str, crossover: int, max_seq_len: int) -> BucketPolicy:
-    """Build one of the named CLI policies (`single`, `fine32`, `fine64`)."""
+def make_policy(policy: str, switches: int | Iterable[int],
+                max_seq_len: int) -> BucketPolicy:
+    """Build one of the named CLI policies (`single`, `fine32`, `fine64`).
+
+    Every switch below ``max_seq_len`` is forced in as an edge (an ``int``
+    is one switch); the named width adds its multiples, and the last edge
+    is always ``max_seq_len``.
+    """
     if policy not in POLICY_WIDTHS:
         raise ValueError(
             f"unknown bucket policy {policy!r}; know {sorted(POLICY_WIDTHS)}"
         )
-    return BucketPolicy.crossover_aligned(
-        crossover, max_seq_len, POLICY_WIDTHS[policy], name=policy)
+    if isinstance(switches, int):
+        switches = (switches,)
+    edges = {max_seq_len, *(s for s in switches if 0 < s < max_seq_len)}
+    width = POLICY_WIDTHS[policy]
+    if width is not None:
+        edges.update(range(width, max_seq_len, width))
+    return BucketPolicy(name=policy, edges=tuple(sorted(edges)))

@@ -25,6 +25,7 @@ table).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -44,7 +45,7 @@ from repro.runtime import (
     TensorRTLikeEngine,
 )
 from repro.serving.batcher import DynamicBatcher, QueueFullError
-from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
+from repro.serving.bucketing import BucketPolicy, make_policy
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.request import Request, Response
 from repro.serving.scheduler import EngineWorker, Scheduler
@@ -120,7 +121,6 @@ class LoadgenResult:
 
     spec: LoadgenSpec
     policy: BucketPolicy
-    crossover: int
     responses: list[Response]
     metrics: MetricsRegistry
     engine: "Engine"
@@ -148,6 +148,25 @@ def sequence_lengths(spec: LoadgenSpec) -> list[int]:
         raise ValueError(
             f"no admissible lengths below {hi} with step {spec.seq_step}")
     return lens
+
+
+def build_policy(spec: LoadgenSpec, engine: "Engine",
+                 max_seq_len: int) -> BucketPolicy:
+    """``spec``'s bucket policy with every attention switch of ``engine``
+    (:meth:`~repro.runtime.engine.Engine.attention_regimes`) as an edge."""
+    regimes = engine.attention_regimes(max_seq_len)
+    return make_policy(spec.policy, [last for last, _ in regimes],
+                       max_seq_len)
+
+
+def bucket_rows(policy: BucketPolicy, engine: "Engine") -> list[list[object]]:
+    """Report rows naming the policy and each bucket's attention choice
+    (that of the regime holding the bucket's upper edge)."""
+    regimes = engine.attention_regimes(policy.max_seq_len)
+    lasts = [last for last, _ in regimes]
+    labels = (f"{policy.label(b)} {regimes[bisect_left(lasts, hi)][1]}"
+              for b, hi in enumerate(policy.edges))
+    return [["bucket policy", policy.name], ["buckets", ", ".join(labels)]]
 
 
 def build_payloads(spec: LoadgenSpec) -> dict[int, np.ndarray]:
@@ -275,12 +294,9 @@ def run_loadgen(spec: LoadgenSpec,
     and the report is byte-identical to an uninstrumented run —
     observation never changes a reported number.
     """
-    cfg = spec.model_config()
     engine = build_engine(spec)
     payloads = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head,
-                                max(payloads), device=engine.device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    policy = build_policy(spec, engine, max(payloads))
     slo = make_slo_policy(spec, engine, policy)
     batcher = DynamicBatcher(policy, max_batch=spec.max_batch,
                              max_wait_us=spec.max_wait_us,
@@ -296,9 +312,8 @@ def run_loadgen(spec: LoadgenSpec,
     else:
         responses = sched.run(open_loop_arrivals(spec, payloads, slo=slo))
 
-    result = LoadgenResult(spec=spec, policy=policy, crossover=crossover,
-                           responses=responses, metrics=sched.metrics,
-                           engine=engine, slo=slo)
+    result = LoadgenResult(spec=spec, policy=policy, responses=responses,
+                           metrics=sched.metrics, engine=engine, slo=slo)
     result.report = _render_report(result)
     return result
 
@@ -313,10 +328,7 @@ def _render_report(result: LoadgenResult) -> str:
         ["requests", spec.num_requests],
         ["rate (req/s)" if spec.mode == "open" else "clients",
          spec.rate_per_s if spec.mode == "open" else spec.clients],
-        ["bucket policy", f"{result.policy.name} "
-                          f"(crossover={result.crossover})"],
-        ["buckets", " ".join(result.policy.label(i)
-                             for i in range(result.policy.num_buckets))],
+        *bucket_rows(result.policy, result.engine),
     ]
     rows += percentile_rows(m.latencies_us) if m.latencies_us else []
     rows += [

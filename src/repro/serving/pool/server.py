@@ -44,11 +44,12 @@ from repro.obs.slo import SloPolicy
 from repro.runtime.engine import Engine
 from repro.runtime.shm import SharedWeightStore, segment_exists
 from repro.serving.batcher import Batch
-from repro.serving.bucketing import BucketPolicy, make_policy, model_crossover
+from repro.serving.bucketing import BucketPolicy
 from repro.serving.loadgen import (
     LoadgenSpec,
     build_engine,
     build_payloads,
+    build_policy,
     make_slo_policy,
 )
 from repro.serving.pool.admission import (
@@ -395,26 +396,22 @@ def build_pool_server(
     n_workers: int,
     max_inflight_per_tenant: int | None = None,
     events: EventLog = NULL_EVENT_LOG,
-) -> tuple[PoolServer, dict[int, np.ndarray], BucketPolicy, int]:
+) -> tuple[PoolServer, dict[int, np.ndarray], BucketPolicy]:
     """A pool configured like the loadgen scheduler for ``spec``.
 
     Same engine, payloads, bucket and SLO policy as
     :func:`~repro.serving.loadgen.run_loadgen`, so
     :func:`~repro.serving.loadgen.drive_server` serves it the same seeded
     work as the thread-backed server, and like it runs every request.
-    Returns ``(server, payloads, policy, crossover)``; the server is not
-    started.
+    Returns ``(server, payloads, policy)``; the server is not started.
     """
-    cfg = spec.model_config()
     engine = build_engine(spec)
     payloads = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
-                                device=engine.device)
-    policy = make_policy(spec.policy, crossover, max(payloads))
+    policy = build_policy(spec, engine, max(payloads))
     server = PoolServer(
         engine, policy, n_workers=n_workers, max_batch=spec.max_batch,
         max_wait_us=spec.max_wait_us, max_depth=spec.max_depth,
         max_inflight_per_tenant=max_inflight_per_tenant,
         events=events, slo=make_slo_policy(spec, engine, policy),
     )
-    return server, payloads, policy, crossover
+    return server, payloads, policy

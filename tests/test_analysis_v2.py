@@ -176,6 +176,40 @@ def test_et602_rlock_reacquire_is_clean(tmp_path):
     assert "ET602" not in rules
 
 
+INHERITED_REACQUIRE = """
+    import threading
+
+
+    class Base:
+        def __init__(self):
+            self._lock = threading.{factory}()
+
+
+    class Child(Base):
+        def outer(self):
+            with self._lock:
+                self.inner()
+
+        def inner(self):
+            with self._lock:
+                pass
+"""
+
+
+def test_et602_sees_lock_inherited_from_base(tmp_path):
+    rules, report = lint_snippet(
+        tmp_path, INHERITED_REACQUIRE.format(factory="Lock"))
+    assert rules == ["ET602"]
+    # keyed by the defining class, so Base and Child methods share it
+    assert "Base._lock" in report.findings[0].message
+
+
+def test_inherited_rlock_reacquire_is_clean(tmp_path):
+    rules, _ = lint_snippet(
+        tmp_path, INHERITED_REACQUIRE.format(factory="RLock"))
+    assert rules == []
+
+
 def test_condition_shares_lock_group(tmp_path):
     """Holding a Condition over self._lock == holding self._lock."""
     rules, _ = lint_snippet(tmp_path, """

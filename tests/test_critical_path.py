@@ -123,17 +123,14 @@ class TestWaterfallPartition:
             sum(w.latency_us for w in waterfalls))
 
     def test_thread_backend_partitions_exactly(self):
-        from repro.serving import AsyncServer, make_policy, model_crossover
-        from repro.serving.loadgen import build_engine, build_payloads
+        from repro.serving import AsyncServer
+        from repro.serving.loadgen import (build_engine, build_payloads,
+                                           build_policy)
 
         spec = _spec(num_requests=24)
         payloads = build_payloads(spec)
-        cfg = spec.model_config()
         engines = [build_engine(spec) for _ in range(spec.workers)]
-        crossover = model_crossover(cfg.num_heads, cfg.d_head,
-                                    max(payloads),
-                                    device=engines[0].device)
-        policy = make_policy(spec.policy, crossover, max(payloads))
+        policy = build_policy(spec, engines[0], max(payloads))
         events = EventLog()
         with AsyncServer(engines, policy, max_batch=spec.max_batch,
                          max_wait_us=spec.max_wait_us,
@@ -144,7 +141,7 @@ class TestWaterfallPartition:
     def test_pool_backend_partitions_exactly(self):
         spec = _spec(num_requests=24)
         events = EventLog()
-        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        server, payloads, _ = build_pool_server(spec, 2, events=events)
         with server:
             drive_server(server, spec, payloads)
         waterfalls = build_waterfalls(events)

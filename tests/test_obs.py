@@ -474,7 +474,7 @@ class TestServerAndCLI:
         cfg = small_config(name="obs-serve", num_layers=1, d_model=32,
                            num_heads=4, max_seq_len=64)
         engines = [TensorRTLikeEngine(EncoderWeights.random(cfg, rng))]
-        pol = make_policy("single", crossover=224, max_seq_len=64)
+        pol = make_policy("single", switches=(), max_seq_len=64)
         events = EventLog()
         with AsyncServer(engines, pol, max_batch=4, max_wait_us=500.0,
                          events=events) as server:
@@ -700,7 +700,7 @@ class TestFlightRecorder:
 
 class TestSloPolicy:
     def _policy(self):
-        return make_policy("fine32", crossover=224, max_seq_len=64)
+        return make_policy("fine32", switches=(), max_seq_len=64)
 
     def test_per_bucket_budgets_price_the_upper_edge(self):
         pol = self._policy()
@@ -781,7 +781,7 @@ class TestSloInLoadgen:
     def test_make_slo_policy_none_without_budget(self):
         spec = _small_spec()
         engine = build_engine(spec)
-        pol = make_policy("fine32", crossover=224, max_seq_len=64)
+        pol = make_policy("fine32", switches=(), max_seq_len=64)
         assert make_slo_policy(spec, engine, pol) is None
 
     def test_prometheus_slo_series(self):

@@ -28,13 +28,13 @@ from repro.pruning import PruneMethod
 from repro.runtime import EncoderWeights, ETEngine
 import repro.runtime.shm as shm_mod
 from repro.runtime.shm import SharedWeightStore, segment_exists
-from repro.serving import AsyncServer, MetricsRegistry, make_policy, \
-    model_crossover
+from repro.serving import AsyncServer, MetricsRegistry
 from repro.serving.batcher import Batch
 from repro.serving.loadgen import (
     LoadgenSpec,
     build_engine,
     build_payloads,
+    build_policy,
     drive_server,
     request_mix,
     run_loadgen,
@@ -218,10 +218,7 @@ class TestPoolServer:
         spec = _spec(num_requests=24)
         payloads = build_payloads(spec)
         engines = [build_engine(spec) for _ in range(2)]
-        cfg = spec.model_config()
-        crossover = model_crossover(cfg.num_heads, cfg.d_head, max(payloads),
-                                    device=engines[0].device)
-        policy = make_policy(spec.policy, crossover, max(payloads))
+        policy = build_policy(spec, engines[0], max(payloads))
         thread_server = AsyncServer(engines, policy,
                                     max_batch=spec.max_batch,
                                     max_wait_us=spec.max_wait_us,
@@ -229,7 +226,7 @@ class TestPoolServer:
         with thread_server:
             thread_resp = drive_server(thread_server, spec, payloads)
 
-        server, pool_payloads, _, _ = build_pool_server(spec, 2)
+        server, pool_payloads, _ = build_pool_server(spec, 2)
         with server:
             segment = server._store.manifest.segment
             assert segment_exists(segment)
@@ -250,7 +247,7 @@ class TestPoolServer:
         spec = _spec(num_requests=8)
         by_workers = {}
         for n in (1, 4):
-            server, payloads, _, _ = build_pool_server(spec, n)
+            server, payloads, _ = build_pool_server(spec, n)
             with server:
                 responses = []
                 for x in request_mix(spec, payloads):
@@ -266,7 +263,7 @@ class TestPoolServer:
         """Kill a replica mid-stream: survivors absorb its work, every
         future resolves, and the segment still unlinks cleanly."""
         spec = _spec(num_requests=32, max_wait_us=50_000.0)
-        server, payloads, _, _ = build_pool_server(spec, 2)
+        server, payloads, _ = build_pool_server(spec, 2)
         with server:
             segment = server._store.manifest.segment
             futures = [server.submit(x)
@@ -290,7 +287,7 @@ class TestPoolServer:
         every member still ends once."""
         spec = _spec(num_requests=32)
         events = EventLog()
-        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        server, payloads, _ = build_pool_server(spec, 2, events=events)
         with server:
             victim = server._procs[0]
             os.kill(victim.pid, signal.SIGSTOP)  # alive, but runs nothing
@@ -325,7 +322,7 @@ class TestPoolServer:
         """Replica 1's ``start()`` fails: ``start`` re-raises that error,
         not one from joining the never-started process, and the weight
         segment is unlinked."""
-        server, _, _, _ = build_pool_server(_spec(), 2)
+        server, _, _ = build_pool_server(_spec(), 2)
         real_start = SpawnProcess.start
 
         def start(proc):
@@ -343,7 +340,7 @@ class TestPoolServer:
     def test_replica_dying_in_bootstrap_fails_start_fast(self):
         """Replicas that cannot build their engine exit before saying
         hello; ``start`` fails within seconds, not ``start_timeout_s``."""
-        server, _, _, _ = build_pool_server(_spec(), 2)
+        server, _, _ = build_pool_server(_spec(), 2)
         assert server.start_timeout_s == 120.0
         server.engine.name = "no-such-engine"  # replicas look engines up by name
         t0 = time.monotonic()
@@ -357,7 +354,7 @@ class TestPoolServer:
         # A long batching window keeps request 1 in flight while the
         # second submit arrives, so the quota check is deterministic.
         spec = _spec(num_requests=4, max_wait_us=500_000.0, max_batch=8)
-        server, payloads, _, _ = build_pool_server(
+        server, payloads, _ = build_pool_server(
             spec, 1, max_inflight_per_tenant=1)
         x = payloads[16]
         with server:
@@ -370,7 +367,7 @@ class TestPoolServer:
 
     def test_metrics_text_has_pool_series(self):
         spec = _spec(num_requests=8)
-        server, payloads, _, _ = build_pool_server(spec, 2)
+        server, payloads, _ = build_pool_server(spec, 2)
         with server:
             drive_server(server, spec, payloads)
         text = server.metrics_text()
@@ -389,7 +386,7 @@ def test_slot_bookkeeping_survives_thread_switch_stress():
     once, and leaves no held count behind."""
     spec = _spec(num_requests=48, max_batch=4)
     events = EventLog()
-    server, payloads, _, _ = build_pool_server(spec, 4, events=events)
+    server, payloads, _ = build_pool_server(spec, 4, events=events)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -412,7 +409,7 @@ def test_thread_without_a_free_replica_slot_hands_its_batch_back_unsent():
     thread that finds none free sends nothing: its batch goes back to the
     front with no ``rebook`` (it never left) and the thread retires."""
     events = EventLog()
-    server, payloads, _, _ = build_pool_server(_spec(), 2, events=events)
+    server, payloads, _ = build_pool_server(_spec(), 2, events=events)
     server._free = set()
     batch = Batch(batch_id=7, bucket=16,
                   requests=[Request(rid=0, x=payloads[16])])
@@ -450,7 +447,7 @@ def test_burst_fills_replica_zeros_pipeline_first():
     while replica 1 gets none: the lowest free replica slot takes each
     batch, so a burst pairs its first two batches on one replica."""
     # A long batching window: only full batches form, never a partial one.
-    server, payloads, _, _ = build_pool_server(
+    server, payloads, _ = build_pool_server(
         _spec(max_wait_us=500_000.0), 2)
     x = payloads[16]
     with server:
@@ -477,7 +474,7 @@ def test_replica_death_during_stop_resolves_every_future(drain):
     unterminated."""
     spec = _spec(num_requests=32)
     events = EventLog()
-    server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+    server, payloads, _ = build_pool_server(spec, 2, events=events)
     server.start()
     victim = server._procs[0]
     os.kill(victim.pid, signal.SIGSTOP)
@@ -509,7 +506,7 @@ def test_replica_death_during_stop_resolves_every_future(drain):
 
 def test_pool_server_rejects_oversize_submit():
     spec = _spec()
-    server, payloads, policy, _ = build_pool_server(spec, 1)
+    server, payloads, policy = build_pool_server(spec, 1)
     too_long = np.zeros((spec.max_seq_len + 16,
                          spec.model_config().d_model))
     with pytest.raises(ValueError):
@@ -520,7 +517,7 @@ def test_pool_server_rejects_oversize_submit():
 def test_drive_server_backpressure_retries():
     # max_depth 2 forces QueueFullError retries inside drive_server
     spec = _spec(num_requests=12, max_depth=2)
-    server, payloads, _, _ = build_pool_server(spec, 1)
+    server, payloads, _ = build_pool_server(spec, 1)
     with server:
         responses = drive_server(server, spec, payloads)
     assert len(responses) == spec.num_requests
@@ -533,11 +530,7 @@ def test_drive_server_backpressure_retries():
 
 def _thread_server(spec: LoadgenSpec, events: EventLog) -> AsyncServer:
     engines = [build_engine(spec) for _ in range(2)]
-    cfg = spec.model_config()
-    lens = build_payloads(spec)
-    crossover = model_crossover(cfg.num_heads, cfg.d_head, max(lens),
-                                device=engines[0].device)
-    policy = make_policy(spec.policy, crossover, max(lens))
+    policy = build_policy(spec, engines[0], max(build_payloads(spec)))
     return AsyncServer(engines, policy, max_batch=spec.max_batch,
                        max_wait_us=spec.max_wait_us,
                        max_depth=spec.max_depth, events=events)
@@ -555,7 +548,7 @@ def test_batch_lifecycle_holds_on_every_backend(backend):
         with _thread_server(spec, events) as server:
             drive_server(server, spec, build_payloads(spec))
     else:
-        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        server, payloads, _ = build_pool_server(spec, 2, events=events)
         with server:
             drive_server(server, spec, payloads)
 
@@ -590,7 +583,7 @@ def test_live_metrics_equal_the_fold_of_their_log(tmp_path, backend):
         with _thread_server(spec, events) as server:
             drive_server(server, spec, build_payloads(spec))
     else:
-        server, payloads, _, _ = build_pool_server(spec, 2, events=events)
+        server, payloads, _ = build_pool_server(spec, 2, events=events)
         with server:
             drive_server(server, spec, payloads)
     path = tmp_path / "events.jsonl"
@@ -606,7 +599,7 @@ def test_no_drain_stop_leaves_no_fold_state():
     still ends once and the fold keeps no per-request or per-batch
     entry."""
     spec = _spec(num_requests=32, max_wait_us=50_000.0)
-    server, payloads, _, _ = build_pool_server(spec, 1)
+    server, payloads, _ = build_pool_server(spec, 1)
     server.start()
     futures = [server.submit(x) for x in request_mix(spec, payloads)]
     server.stop(drain=False)
@@ -647,7 +640,7 @@ def test_submit_after_stop_raises_and_records_nothing(backend):
     if backend == "threads":
         server = _thread_server(spec, events)
     else:
-        server, payloads, _, _ = build_pool_server(spec, 1, events=events)
+        server, payloads, _ = build_pool_server(spec, 1, events=events)
     with server:
         futures = [server.submit(x) for x in request_mix(spec, payloads)]
     assert all(f.result(timeout=60.0).ok for f in futures)

@@ -1,5 +1,6 @@
 """Serving layer: queue ordering, bucketing, batching, scheduling, metrics."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from repro.config import small_config
 from repro.eval.format import percentile_rows
 from repro.eval.metrics import percentile
+from repro.gpu.device import V100S
 from repro.obs.events import EventLog
 from repro.runtime import EncoderWeights, ETEngine, TensorRTLikeEngine
 from repro.serving import (
@@ -28,6 +30,7 @@ from repro.serving import (
     model_crossover,
     run_loadgen,
 )
+from repro.serving.loadgen import build_engine, build_payloads, build_policy
 
 
 def _req(rid, seq_len=16, arrival=0.0, d_model=8):
@@ -101,7 +104,7 @@ class TestRequestQueue:
 
 class TestBucketPolicy:
     def test_crossover_is_always_an_edge(self):
-        pol = BucketPolicy.crossover_aligned(224, 320, width=64)
+        pol = make_policy("fine64", 224, 320)
         assert 224 in pol.edges
         # no bucket straddles: each bucket lies entirely on one side
         for b in range(pol.num_buckets):
@@ -110,13 +113,15 @@ class TestBucketPolicy:
             assert hi <= 224 or lo >= 224
 
     def test_lengths_across_crossover_never_share_bucket(self):
-        pol = BucketPolicy.crossover_aligned(224, 512, width=64)
+        pol = make_policy("fine64", 224, 512)
         assert pol.bucket_of(224) != pol.bucket_of(225)
         assert pol.bucket_of(200) == pol.bucket_of(224)
 
-    def test_straddling_edges_rejected(self):
-        with pytest.raises(ValueError):
-            BucketPolicy(name="bad", edges=(128, 320), crossover=224)
+    def test_every_switch_is_an_edge(self):
+        assert make_policy("single", [160, 209, 320], 320).edges \
+            == (160, 209, 320)
+        assert make_policy("fine64", (100, 400), 320).edges \
+            == (64, 100, 128, 192, 256, 320)
 
     def test_out_of_range_length_rejected(self):
         pol = make_policy("single", 224, 320)
@@ -126,9 +131,15 @@ class TestBucketPolicy:
             pol.bucket_of(0)
 
     def test_crossover_beyond_max_is_trivially_aligned(self):
-        pol = BucketPolicy.crossover_aligned(224, 64, width=32)
+        pol = make_policy("fine32", 224, 64)
         assert pol.edges == (32, 64)
 
+    def test_benchmark_fine64_edges_pinned(self):
+        # perfbench builds its server's policy exactly this way; its
+        # buckets must not move without an edit there.
+        xo = model_crossover(12, 64, 320, device=V100S)
+        assert make_policy("fine64", xo, 320).edges \
+            == (64, 128, 192, 240, 256, 320)
 
     @pytest.mark.parametrize("model,expected", [
         ("BERT_BASE", (224, 240, 240)),
@@ -143,6 +154,61 @@ class TestBucketPolicy:
         got = tuple(model_crossover(cfg.num_heads, cfg.d_head, max_len)
                     for max_len in (64, 320, 512))
         assert got == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _regime_engine(model, sparsity):
+    """A one-layer serving engine (as the drivers build it) and its max."""
+    spec = LoadgenSpec(model=model, sparsity=sparsity, num_layers=1)
+    return build_engine(spec), min(320, spec.model_config().max_seq_len)
+
+
+class TestAttentionRegimes:
+    @pytest.mark.parametrize("policy", ["single", "fine32", "fine64"])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.8])
+    @pytest.mark.parametrize("model",
+                             ["BERT_BASE", "DistilBERT", "Transformer",
+                              "small"])
+    def test_each_bucket_runs_one_attention_choice(self, model, sparsity,
+                                                   policy):
+        engine, max_len = _regime_engine(model, sparsity)
+        regimes = engine.attention_regimes(max_len)
+        assert regimes[-1][0] == max_len
+        choice_at = [None]  # index = length; lengths start at 1
+        for last, choice in regimes:
+            choice_at += [choice] * (last - len(choice_at) + 1)
+        assert len(choice_at) == max_len + 1
+        pol = build_policy(LoadgenSpec(policy=policy), engine, max_len)
+        for b in range(pol.num_buckets):
+            lo = 0 if b == 0 else pol.edges[b - 1]
+            assert len(set(choice_at[lo + 1:pol.edges[b] + 1])) == 1, \
+                pol.label(b)
+
+    @pytest.mark.parametrize("model,sparsity,expected", [
+        ("BERT_BASE", 0.8, [(192, "otf"), (320, "flash")]),
+        ("Transformer", 0.0, [(208, "otf"), (320, "partial_otf")]),
+    ])
+    def test_regimes_match_run_choices(self, model, sparsity, expected):
+        engine, max_len = _regime_engine(model, sparsity)
+        regimes = engine.attention_regimes(max_len)
+        assert regimes == expected
+        d_model = engine.weights.config.d_model
+        first = 1
+        for last, choice in regimes:
+            for s in (first, last):
+                got = engine.run(np.zeros((s, d_model))).choices
+                assert got == {"layer0.attention": choice}, s
+            first = last + 1
+
+    def test_baseline_engine_has_one_regime(self, serve_cfg):
+        w = EncoderWeights.random(serve_cfg, np.random.default_rng(0), 1)
+        assert TensorRTLikeEngine(w).attention_regimes(48) \
+            == [(48, "tensorrt")]
+
+    def test_precomputed_engine_refuses(self, serve_cfg):
+        w = EncoderWeights.random(serve_cfg, np.random.default_rng(0), 1)
+        with pytest.raises(ValueError, match="precomputed"):
+            ETEngine(w, precompute=True).attention_regimes(48)
 
 
 class TestDynamicBatcher:
@@ -246,16 +312,23 @@ class TestSchedulerAndLoadgen:
         assert m.completed + m.rejected == 40
         assert sorted(r.rid for r in res.responses) == list(range(40))
 
-    def test_no_batch_straddles_crossover(self):
-        res = run_loadgen(_small_loadgen_spec(policy="fine32"))
-        xo = res.crossover
-        lens_by_batch = defaultdict(list)
+    def test_no_batch_mixes_attention_choices(self):
+        # BERT_BASE at 80% sparsity runs OTF up to 192 and flash from 193:
+        # the `single` policy must still split 32..192 from 224..256.
+        spec = LoadgenSpec(model="BERT_BASE", num_layers=1, max_seq_len=256,
+                           seq_step=32, policy="single", rate_per_s=4000.0,
+                           num_requests=60, seed=0, max_batch=8)
+        res = run_loadgen(spec)
+        choice = {s: set(res.engine.run(x).choices.values())
+                  for s, x in build_payloads(spec).items()}
+        assert set().union(*choice.values()) == {"otf", "flash"}
+        choices_by_batch = defaultdict(set)
         for resp in res.responses:
             if resp.ok:
-                lens_by_batch[resp.batch_id].append(resp.seq_len)
-        assert lens_by_batch
-        for lens in lens_by_batch.values():
-            assert not (min(lens) <= xo < max(lens))
+                choices_by_batch[resp.batch_id] |= choice[resp.seq_len]
+        assert max(r.batch_size for r in res.responses) > 1
+        for choices in choices_by_batch.values():
+            assert len(choices) == 1
 
     def test_backpressure_rejection_path(self):
         # a tiny queue under a burst must shed load, deterministically
@@ -330,7 +403,7 @@ class TestAsyncServerSmoke:
             TensorRTLikeEngine(EncoderWeights.random(serve_cfg, rng))
             for _ in range(2)
         ]
-        pol = make_policy("fine32", crossover=224, max_seq_len=64)
+        pol = make_policy("fine32", switches=(), max_seq_len=64)
         with AsyncServer(engines, pol, max_batch=4, max_wait_us=500.0,
                          max_depth=32) as server:
             futs = [server.submit(rng.standard_normal((s, serve_cfg.d_model)))
@@ -354,7 +427,7 @@ class TestAsyncServerSmoke:
         switch interval: every request ends once, in every recorder."""
         engines = [TensorRTLikeEngine(EncoderWeights.random(serve_cfg, rng))
                    for _ in range(4)]
-        pol = make_policy("fine32", crossover=224, max_seq_len=64)
+        pol = make_policy("fine32", switches=(), max_seq_len=64)
         xs = [rng.standard_normal((s, serve_cfg.d_model))
               for s in (16, 32, 48, 64)]
         events = EventLog()
@@ -388,7 +461,7 @@ class TestAsyncServerSmoke:
 
     def test_submit_oversize_rejected(self, serve_cfg, rng):
         engines = [TensorRTLikeEngine(EncoderWeights.random(serve_cfg, rng))]
-        pol = make_policy("single", crossover=224, max_seq_len=32)
+        pol = make_policy("single", switches=(), max_seq_len=32)
         with AsyncServer(engines, pol) as server:
             with pytest.raises(ValueError):
                 server.submit(rng.standard_normal((64, serve_cfg.d_model)))
@@ -417,7 +490,7 @@ class TestCLIServing:
         assert rc == 0
         out = capsys.readouterr().out
         assert "p50 (us)" in out and "throughput (seq/s)" in out
-        assert "crossover" in out
+        assert "(0,64] otf" in out
 
     @pytest.mark.parametrize("backend", [[], ["--workers", "1"]],
                              ids=["threads", "pool"])
